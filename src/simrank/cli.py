@@ -25,8 +25,6 @@ from .oracle import naive_simrank
 from .query import DEFAULT_OUTPUT_THRESHOLD, all_pairs, single_pair, single_source
 from .topk import build_bounds_index, load_bounds_index, save_bounds_index, topk_query
 
-RESIDUAL_CHECK_CAP = 2000
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", required=True, help="edge list file, 'u v' per line")
@@ -72,7 +70,7 @@ def cmd_estimate_diag(args) -> int:
     save_diagonal(args.out, D)
     summary = (f"n={g.n} m={g.m} mode={args.mode} L={args.L} "
                f"clamped={D.clamped} skipped={D.skipped} time={elapsed:.3f}s")
-    if args.mode == "exact" and g.n <= RESIDUAL_CHECK_CAP:
+    if args.mode == "exact":
         summary += f" residual_norm={residual_norm(g, cfg, D):.3e}"
     print(summary)
     return 0
@@ -242,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--theta", type=float, default=0.2)
     p.add_argument("--gamma", type=float, default=0.0,
-                   help="accuracy split in [0,1); larger shrinks the filter work")
+                   help="accuracy split in [0,1); larger lowers the filter "
+                        "tolerance (1-c)(1-gamma)theta, so the filter does more "
+                        "work and fewer pairs go to verification")
     p.add_argument("--beta-skip", type=float, default=100.0, dest="beta_skip",
                    help="thresholding rate; <= 0 disables thresholding")
     p.add_argument("--p", type=float, default=0.01,

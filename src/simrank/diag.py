@@ -6,6 +6,12 @@ k, where S^L(Theta) = sum_t c^t P^{T t} Theta P^t.  We solve that condition by
 Gauss-Seidel sweeps: each visit updates D_kk by (1 - S^L(D)_kk) /
 S^L(E^(k,k))_kk, with the two inner quantities evaluated either by exact
 truncated propagation or by Monte-Carlo walk histograms.
+
+Exact mode propagates a block of sources at once.  The row
+W[k, :] = sum_{t<T} c^t (P^t e_k)^2 does not depend on D, so
+S^L(E^(k,k))_kk = W[k, k] and S^L(D)_kk = W[k, :] . diag(D); a block's rows
+are computed with sparse P @ X before the block's updates, which then run in
+vertex order against the values updated so far (true Gauss-Seidel).
 """
 
 from __future__ import annotations
@@ -14,11 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Config, Distribution, Graph, step, walk_positions
+from .graph import Config, Graph, walk_positions
 
 EXACT_CLAMP_SLACK = 1e-9
 MC_CLAMP_SLACK = 0.05
-SUPPORT_CAP = 10**6
+# entries in each dense block array of the exact kernel: a block holds
+# max(1, BLOCK_BUDGET // n) sources, so its arrays stay near 2^15 entries
+# (n once n exceeds that) instead of the n^2 of propagating all sources at once
+BLOCK_BUDGET = 2**15
 
 
 @dataclass
@@ -66,41 +75,53 @@ def initial_guess(g: Graph, cfg: Config) -> DiagonalCorrection:
     return DiagonalCorrection(values, params=_params(cfg, None, "initial"))
 
 
+def source_blocks(n: int):
+    """Vertices 0..n-1 in consecutive blocks of max(1, BLOCK_BUDGET // n)."""
+    size = max(1, BLOCK_BUDGET // max(n, 1))
+    for start in range(0, n, size):
+        yield np.arange(start, min(start + size, n))
+
+
+def weight_rows(g: Graph, cfg: Config, ks: np.ndarray) -> np.ndarray:
+    """W[j, :] = sum_{t<T} c^t (P^t e_{ks[j]})^2, one row per source in ks."""
+    P = g.P
+    X = np.zeros((g.n, len(ks)))  # column j is P^t e_{ks[j]}
+    X[ks, np.arange(len(ks))] = 1.0
+    W = np.zeros_like(X)
+    weight = 1.0
+    for t in range(cfg.T):
+        W += weight * (X * X)
+        if t + 1 < cfg.T:
+            X = P @ X
+        weight *= cfg.c
+    return np.ascontiguousarray(W.T)
+
+
 def inner_estimates(g: Graph, cfg: Config, D: DiagonalCorrection, k: int,
                     est_cfg: EstimationConfig,
                     rng: np.random.Generator | None = None) -> tuple[float, float]:
     """Truncated (a, b) with a ~ S^L(E^(k,k))_kk and b ~ S^L(D)_kk.
 
     a = sum_t c^t (P^t e_k)_k^2 and b = sum_t c^t sum_w (P^t e_k)_w^2 D_ww;
-    exact mode propagates P^t e_k sparsely, mc mode substitutes squared
-    empirical frequencies from R walks.
+    exact mode reads both off the one-source row W[k, :] of ``weight_rows``,
+    mc mode substitutes squared empirical frequencies from R walks.
     """
     dvals = D.as_array()
+    if est_cfg.mode == "exact":
+        w = weight_rows(g, cfg, np.array([k]))[0]
+        return float(w[k]), float(w @ dvals)
+    if rng is None:
+        rng = cfg.rng()
+    R = est_cfg.R
+    hists = walk_positions(g, k, cfg.T, R, rng)
     a = 0.0
     b = 0.0
-    if est_cfg.mode == "exact":
-        dist = Distribution.point(k)
-        weight = 1.0
-        for _ in range(cfg.T):
-            a += weight * dist.entries.get(k, 0.0) ** 2
-            b += weight * sum(mass * mass * dvals[w]
-                              for w, mass in dist.entries.items())
-            dist = step(g, dist)
-            if len(dist.entries) > SUPPORT_CAP:
-                raise RuntimeError(
-                    f"propagation support exceeded {SUPPORT_CAP} nonzeros")
-            weight *= cfg.c
-    else:
-        if rng is None:
-            rng = cfg.rng()
-        R = est_cfg.R
-        hists = walk_positions(g, k, cfg.T, R, rng)
-        weight = 1.0
-        for hist in hists:
-            p = hist / R
-            a += weight * float(p[k]) ** 2
-            b += weight * float(np.sum(p * p * dvals))
-            weight *= cfg.c
+    weight = 1.0
+    for hist in hists:
+        p = hist / R
+        a += weight * float(p[k]) ** 2
+        b += weight * float(np.sum(p * p * dvals))
+        weight *= cfg.c
     return a, b
 
 
@@ -110,38 +131,36 @@ def estimate_diagonal(g: Graph, cfg: Config,
     D = initial_guess(g, cfg)
     lo = 1.0 - cfg.c - est_cfg.clamp_slack
     hi = 1.0 + est_cfg.clamp_slack
+
+    def update(k: int, a: float, b: float) -> None:
+        if a <= 0.0:
+            D.skipped += 1
+            return
+        updated = D.values[k] + (1.0 - b) / a
+        clamped = min(max(updated, lo), hi)
+        if clamped != updated:
+            D.clamped += 1
+        D.values[k] = clamped
+
     for sweep in range(est_cfg.L):
-        for k in range(g.n):
-            rng = None
-            if est_cfg.mode == "mc":
+        if est_cfg.mode == "exact":
+            for ks in source_blocks(g.n):
+                for k, w in zip(ks, weight_rows(g, cfg, ks)):
+                    update(k, w[k], w @ D.values)
+        else:
+            for k in range(g.n):
                 # independent, order-insensitive stream per (sweep, vertex)
                 rng = np.random.default_rng([cfg.seed, sweep, k])
-            a, b = inner_estimates(g, cfg, D, k, est_cfg, rng)
-            if a <= 0.0:
-                D.skipped += 1
-                continue
-            updated = D.values[k] + (1.0 - b) / a
-            clamped = min(max(updated, lo), hi)
-            if clamped != updated:
-                D.clamped += 1
-            D.values[k] = clamped
+                update(k, *inner_estimates(g, cfg, D, k, est_cfg, rng))
     D.params = _params(cfg, est_cfg, est_cfg.mode)
     return D
 
 
 def residual_norm(g: Graph, cfg: Config, D: DiagonalCorrection) -> float:
-    """max_k |S^L(D)_kk - 1| with S^L truncated at T, evaluated exactly."""
+    """max_k |S^L(D)_kk - 1| with S^L truncated at T, exact, block by block."""
     dvals = D.as_array()
-    P = g.P
-    X = np.eye(g.n)
-    diag = np.zeros(g.n)
-    weight = 1.0
-    for _ in range(cfg.T):
-        # column k of X is P^t e_k
-        diag += weight * ((X * X).T @ dvals)
-        X = P @ X
-        weight *= cfg.c
-    return float(np.max(np.abs(diag - 1.0)))
+    return max(float(np.max(np.abs(weight_rows(g, cfg, ks) @ dvals - 1.0)))
+               for ks in source_blocks(g.n))
 
 
 def _params(cfg: Config, est_cfg: EstimationConfig | None, mode: str) -> dict:

@@ -1,10 +1,49 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import simrank as sr
+from simrank import diag
 from simrank.diag import EstimationConfig, inner_estimates
 
 from conftest import make_graph
+
+
+def dict_estimate_diagonal(g, cfg, L):
+    """Exact Gauss-Seidel sweeps by per-vertex dict propagation (reference)."""
+    D = sr.initial_guess(g, cfg)
+    lo = 1.0 - cfg.c - diag.EXACT_CLAMP_SLACK
+    hi = 1.0 + diag.EXACT_CLAMP_SLACK
+    for _ in range(L):
+        for k in range(g.n):
+            dist = sr.Distribution.point(k)
+            a = b = 0.0
+            weight = 1.0
+            for _ in range(cfg.T):
+                a += weight * dist.entries.get(k, 0.0) ** 2
+                b += weight * sum(mass * mass * D.values[w]
+                                  for w, mass in dist.entries.items())
+                dist = sr.step(g, dist)
+                weight *= cfg.c
+            if a <= 0.0:
+                D.skipped += 1
+                continue
+            updated = D.values[k] + (1.0 - b) / a
+            clamped = min(max(updated, lo), hi)
+            if clamped != updated:
+                D.clamped += 1
+            D.values[k] = clamped
+    return D
+
+
+@st.composite
+def blocked_digraphs(draw):
+    """A random digraph on n <= 40 vertices and a block size in 1..n."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(0, min(n * (n - 1), 4 * n)))
+    g = make_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, m)
+    return g, draw(st.integers(1, n))
 
 
 class TestEstimationConfig:
@@ -56,6 +95,46 @@ class TestExactEstimation:
             D = sr.estimate_diagonal(g, cfg, EstimationConfig(L=2))
             assert np.all(D.values >= 1 - cfg.c - 1e-9)
             assert np.all(D.values <= 1 + 1e-9)
+
+
+class TestBlockKernel:
+    """The blocked kernel against the dict reference and the dense series,
+    with the block budget lowered so that a graph spans several blocks."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gb=blocked_digraphs(), c=st.floats(0.2, 0.9),
+           T=st.integers(1, 15), L=st.integers(1, 4))
+    def test_matches_dict_propagation(self, monkeypatch, gb, c, T, L):
+        g, size = gb
+        monkeypatch.setattr(diag, "BLOCK_BUDGET", size * g.n)
+        cfg = sr.Config(c=c, T=T)
+        D = sr.estimate_diagonal(g, cfg, EstimationConfig(L=L))
+        ref = dict_estimate_diagonal(g, cfg, L)
+        assert np.max(np.abs(D.values - ref.values)) <= 1e-12
+        assert (D.clamped, D.skipped) == (ref.clamped, ref.skipped)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gb=blocked_digraphs(), c=st.floats(0.2, 0.9),
+           T=st.integers(1, 15), seed=st.integers(0, 10**6))
+    def test_residual_norm_matches_dense_series(self, monkeypatch, gb, c, T,
+                                                seed):
+        g, size = gb
+        monkeypatch.setattr(diag, "BLOCK_BUDGET", size * g.n)
+        cfg = sr.Config(c=c, T=T)
+        rng = np.random.default_rng(seed)
+        D = diag.DiagonalCorrection(rng.uniform(1 - c, 1.0, g.n))
+        dense = np.max(np.abs(np.diag(sr.dense_truncated(g, cfg, D)) - 1.0))
+        assert sr.residual_norm(g, cfg, D) == pytest.approx(dense, abs=1e-12)
+
+    def test_blocks_cover_every_vertex_in_order(self, monkeypatch):
+        monkeypatch.setattr(diag, "BLOCK_BUDGET", 30)
+        blocks = list(diag.source_blocks(7))
+        assert [len(b) for b in blocks] == [4, 3]
+        assert np.array_equal(np.concatenate(blocks), np.arange(7))
+        monkeypatch.setattr(diag, "BLOCK_BUDGET", 3)
+        assert [len(b) for b in diag.source_blocks(7)] == [1] * 7
 
 
 class TestInnerEstimates:

@@ -57,6 +57,11 @@ def _diagonal(args, g: Graph, cfg: Config) -> DiagonalCorrection:
         if len(D) != g.n:
             raise ValueError(
                 f"diagonal file has {len(D)} values but graph has {g.n} vertices")
+        c = D.params.get("c")
+        if c is not None and c != cfg.c:
+            raise ValueError(
+                f"diagonal file {args.diag} was estimated at c={c}, "
+                f"but --c is {cfg.c}")
         return D
     return estimate_diagonal(g, cfg, EstimationConfig(L=3, mode="exact"))
 
@@ -126,6 +131,11 @@ def cmd_topk(args) -> int:
             save_bounds_index(args.index, index)
         else:
             index = load_bounds_index(args.index)
+            n, T = index.gamma.shape
+            if n != g.n or T != cfg.T:
+                raise ValueError(
+                    f"bounds index {args.index} has n={n}, T={T}, but the graph "
+                    f"has n={g.n} and --T is {cfg.T}")
     adaptive = None
     if args.estimator == "mc":
         adaptive = (args.R_lo, args.R_hi)

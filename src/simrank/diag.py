@@ -187,6 +187,7 @@ def save_diagonal(path, D: DiagonalCorrection) -> None:
 
 
 def load_diagonal(path) -> DiagonalCorrection:
+    """Read a save_diagonal file; a malformed one raises ValueError naming its line."""
     with open(path) as fh:
         header = fh.readline().strip()
         fields = header.split()
@@ -196,16 +197,30 @@ def load_diagonal(path) -> DiagonalCorrection:
         for item in fields[2:]:
             key, _, raw = item.partition("=")
             params[key] = raw
-        n = int(params.pop("n"))
-        values = np.array([float(fh.readline()) for _ in range(n)])
-    typed = {}
-    for key, raw in params.items():
-        if raw == "None":
-            typed[key] = None
-        elif key in ("T", "L", "R", "seed"):
-            typed[key] = int(raw)
-        elif key == "c":
-            typed[key] = float(raw)
-        else:
-            typed[key] = raw
+        try:
+            values = np.empty(int(params.pop("n")))
+            typed = {key: _typed(key, raw) for key, raw in params.items()}
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}:1: bad diagonal header {header!r}") from None
+        n = len(values)
+        for k in range(n):
+            line = fh.readline()
+            if not line:
+                raise ValueError(
+                    f"{path}:{k + 2}: file ends after {k} of {n} values")
+            try:
+                values[k] = float(line)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{k + 2}: expected a number, got {line.strip()!r}") from None
     return DiagonalCorrection(values, params=typed)
+
+
+def _typed(key: str, raw: str):
+    if raw == "None":
+        return None
+    if key in ("T", "L", "R", "seed"):
+        return int(raw)
+    if key == "c":
+        return float(raw)
+    return raw

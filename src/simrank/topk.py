@@ -1,10 +1,18 @@
-"""Top-k similarity search with admissible pruning bounds.
+"""Top-k similarity search.
 
-Two upper bounds on the truncated score s^(T)(u,v): a distance-indexed bound
-beta(u, d) built from per-step maxima alpha(u, d, t), and a norm bound
-sum_t c^t gamma(u,t) gamma(v,t) with gamma(u,t) = ||sqrt(D) P^t e_u||.  The
-query scans BFS shells in ascending distance, keeps a size-k min-heap, and
-prunes shells via beta and individual vertices via the norm bound.
+Exact scoring ranks one column: ``single_source`` gives s^(T)(u, .) for every
+vertex in O(T m), and ``topk_query`` keeps the best k of it with a partial
+sort.  No vertex is left out for being far from u (s^(T)(u,v) can be positive
+up to undirected distance 2(T-1)), and nothing is pruned, so the result is the
+ranking of the truncated column itself.
+
+Monte-Carlo scoring (``adaptive``) is what the pruning bounds of Kusumoto et
+al. (SIGMOD 2014) are for, on graphs where a full column costs too much: a
+distance-indexed bound beta(u, d) built from per-step maxima alpha(u, d, t),
+and a norm bound sum_t c^t gamma(u,t) gamma(v,t) with
+gamma(u,t) = ||sqrt(D) P^t e_u||.  That path scans BFS shells in ascending
+distance up to d = T, keeps a size-k min-heap, and prunes shells via beta and
+individual vertices via the norm bound.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 from .diag import DiagonalCorrection
 from .graph import Config, Graph, bfs_distances, walk_positions, walk_trajectory
 from .mc import mc_single_pair
-from .query import single_pair
+from .query import single_source
 
 DEFAULT_P_WALKS = 10
 DEFAULT_Q_WALKS = 5
@@ -184,14 +192,29 @@ def load_bounds_index(path: str) -> BoundsIndex:
         magic = fh.read(len(INDEX_MAGIC))
         if magic != INDEX_MAGIC:
             raise ValueError(f"not a bounds index file: {path}")
-        n, T, R_gamma, P_walks, Q_walks = struct.unpack("<5q", fh.read(40))
-        gamma = np.frombuffer(fh.read(n * T * 8), dtype=np.float64).reshape(n, T)
+        head = fh.read(40)
+        if len(head) != 40:
+            raise ValueError(f"{path}: header holds {len(head)} of 40 bytes")
+        n, T, R_gamma, P_walks, Q_walks = struct.unpack("<5q", head)
+        raw = fh.read(n * T * 8)
+        if len(raw) != n * T * 8:
+            raise ValueError(f"{path}: gamma table holds {len(raw)} of "
+                             f"{n * T * 8} bytes")
+        gamma = np.frombuffer(raw, dtype=np.float64).reshape(n, T)
+    cand_path = path + ".cand"
     candidates: dict[int, set[int]] = {}
-    with open(path + ".cand") as fh:
-        for line in fh:
-            head, _, tail = line.partition(":")
-            u = int(head)
-            candidates[u] = {int(tok) for tok in tail.split()}
+    with open(cand_path) as fh:
+        for u, line in enumerate(fh):
+            head, colon, tail = line.partition(":")
+            tokens = tail.split()
+            if not colon or head.strip() != str(u) or u >= n \
+                    or not all(tok.isdecimal() and int(tok) < n for tok in tokens):
+                raise ValueError(f"{cand_path}:{u + 1}: expected 'u: v ...' "
+                                 f"for vertex {u} of {n}, got {line.rstrip()!r}")
+            candidates[u] = {int(tok) for tok in tokens}
+    if len(candidates) != n:
+        raise ValueError(f"{cand_path}:{len(candidates) + 1}: file ends after "
+                         f"{len(candidates)} of {n} vertices")
     return BoundsIndex(gamma.copy(), candidates,
                        params={"R_gamma": R_gamma, "P_walks": P_walks,
                                "Q_walks": Q_walks, "T": T})
@@ -201,26 +224,30 @@ def topk_query(g: Graph, cfg: Config, D: DiagonalCorrection,
                index: BoundsIndex | None, u: int, k: int,
                theta_floor: float = 0.0,
                adaptive: tuple[int, int] | None = None,
-               rng: np.random.Generator | None = None,
-               use_bounds: bool = True,
-               use_distance_bound: bool = False) -> list[tuple[int, float]]:
-    """Up to k (vertex, score) pairs, descending score, ties by ascending id.
+               rng: np.random.Generator | None = None) -> list[tuple[int, float]]:
+    """Up to k (vertex, score) pairs v != u, by descending score, ties by ascending id.
 
-    Scans shells in ascending undirected distance up to d_max = T.  With
-    adaptive=(R_lo, R_hi), scores come from the MC estimator at R_lo, then
-    R_hi when the cheap estimate exceeds half the current kth score;
-    otherwise the deterministic truncated score is used.
+    Exact scoring (adaptive=None) ranks the truncated column
+    ``single_source(g, cfg, D, u)``: it drops u, keeps only
+    ``index.candidates[u]`` when an index is given, keeps scores strictly
+    above theta_floor (so at the default 0.0 no zero-score vertex is listed),
+    and returns the best k, a tie at the kth place going to the lower id.
+
+    With adaptive=(R_lo, R_hi), scores come from the MC estimator at R_lo,
+    then R_hi when the cheap estimate exceeds half the current kth score.
+    This path scans BFS shells up to d_max = T and prunes with the alpha/beta
+    and norm bounds (the index's gamma rows when given).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if adaptive is not None and rng is None:
+    allowed = None if index is None else index.candidates.get(u, set())
+    if adaptive is None:
+        return _rank_column(single_source(g, cfg, D, u), u, k, theta_floor,
+                            allowed)
+    if rng is None:
         rng = cfg.rng()
     d_max = cfg.T
     dist_map = bfs_distances(g, u, d_max)
-
-    allowed = None
-    if index is not None:
-        allowed = index.candidates.get(u, set())
     shells: dict[int, list[int]] = {}
     for v, d in dist_map.items():
         if v == u or d == 0:
@@ -241,10 +268,9 @@ def topk_query(g: Graph, cfg: Config, D: DiagonalCorrection,
             gamma_cache[v] = build_gamma(g, cfg, D, v)
         return gamma_cache[v]
 
+    R_lo, R_hi = adaptive
+
     def score_of(v: int, kth: float | None) -> float:
-        if adaptive is None:
-            return single_pair(g, cfg, D, u, v)
-        R_lo, R_hi = adaptive
         rough = mc_single_pair(g, cfg, D, u, v, R_lo, rng)
         if kth is None or rough > 0.5 * kth:
             return mc_single_pair(g, cfg, D, u, v, R_hi, rng)
@@ -255,17 +281,13 @@ def topk_query(g: Graph, cfg: Config, D: DiagonalCorrection,
     heap: list[tuple[float, int]] = []
     for d in range(1, d_max + 1):
         kth = heap[0][0] if len(heap) == k else None
-        if use_bounds:
-            if kth is not None and ab.beta[d] <= kth:
-                break
-            if ab.beta[d] <= theta_floor:
-                break
+        if kth is not None and ab.beta[d] <= kth:
+            break
+        if ab.beta[d] <= theta_floor:
+            break
         for v in shells.get(d, ()):
-            if kth is not None and use_bounds:
-                if l2_bound(gamma_of(u), gamma_of(v), cfg.c) <= kth:
-                    continue
-                if use_distance_bound and cfg.c ** d <= kth:
-                    continue
+            if kth is not None and l2_bound(gamma_of(u), gamma_of(v), cfg.c) <= kth:
+                continue
             s = score_of(v, kth)
             entry = (s, -v)
             if len(heap) < k:
@@ -275,3 +297,24 @@ def topk_query(g: Graph, cfg: Config, D: DiagonalCorrection,
             kth = heap[0][0] if len(heap) == k else None
     ranked = sorted(heap, key=lambda e: (-e[0], -e[1]))
     return [(-neg_v, s) for s, neg_v in ranked]
+
+
+def _rank_column(col: np.ndarray, u: int, k: int, theta_floor: float,
+                 allowed: set[int] | None) -> list[tuple[int, float]]:
+    """The best k entries v != u of col above theta_floor, by (-score, id)."""
+    keep = col > theta_floor
+    keep[u] = False
+    if allowed is not None:
+        mask = np.zeros(len(col), dtype=bool)
+        mask[list(allowed)] = True
+        keep &= mask
+    ids = np.flatnonzero(keep)
+    scores = col[ids]
+    if len(ids) > k:
+        # every entry tied with the kth score stays in, so the id order
+        # below decides who takes the last places
+        kth = np.partition(scores, len(ids) - k)[len(ids) - k]
+        top = scores >= kth
+        ids, scores = ids[top], scores[top]
+    order = np.lexsort((ids, -scores))[:k]
+    return [(int(v), float(s)) for v, s in zip(ids[order], scores[order])]

@@ -109,6 +109,14 @@ class TestQuery:
         assert code == 1
         assert "4" in err and "2" in err
 
+    def test_diag_estimated_at_other_c_is_rejected(self, capsys, star_file,
+                                                   star_diag):
+        code, out, err = run(capsys, ["query", "--graph", star_file,
+                                      "--c", "0.6", "--diag", star_diag,
+                                      "pair", "1", "2"])
+        assert code == 1 and out == ""
+        assert star_diag in err and "c=0.8" in err and "0.6" in err
+
 
 class TestTopk:
     def test_star(self, capsys, star_file, star_diag):
@@ -136,6 +144,21 @@ class TestTopk:
                                      "--diag", star_diag, "--index", idx,
                                      "--source", "1", "--k", "2"])
         assert code == 0 and out2 == out
+
+    def test_loaded_index_must_match_graph_and_T(self, capsys, star_file,
+                                                 star_diag, tmp_path):
+        idx = str(tmp_path / "star.idx")
+        base = ["topk", "--c", "0.8", "--index", idx, "--source", "1",
+                "--k", "2"]
+        assert run(capsys, [*base, "--graph", star_file, "--T", "40",
+                            "--diag", star_diag, "--build-index"])[0] == 0
+        five = tmp_path / "five.txt"
+        five.write_text(STAR_EDGES + "4 0\n0 4\n")
+        for flags in (["--graph", star_file, "--T", "30", "--diag", star_diag],
+                      ["--graph", str(five), "--T", "40"]):
+            code, out, err = run(capsys, [*base, *flags])
+            assert code == 1 and out == ""
+            assert idx in err and "n=4, T=40" in err
 
 
 class TestJoin:

@@ -197,3 +197,16 @@ class TestPersistence:
         path.write_text("something else\n1.0\n")
         with pytest.raises(ValueError, match="not a diagonal file"):
             sr.load_diagonal(path)
+
+    @pytest.mark.parametrize("n, body, line", [
+        ("4", "0.5\n0.2\n", 4),               # truncated
+        ("4", "0.5\n0.2\nnan?\n0.2\n", 4),    # garbled value
+        ("4", "0.5\n\n0.2\n0.2\n", 3),        # blank value line
+        ("-4", "", 1),                        # garbled header
+    ])
+    def test_bad_lines_name_file_and_line(self, tmp_path, n, body, line):
+        path = tmp_path / "cut.diag"
+        path.write_text(f"simrank-diag v1 n={n} c=0.8 T=40 L=5 R=100 "
+                        "mode=exact seed=0\n" + body)
+        with pytest.raises(ValueError, match=rf"cut\.diag:{line}: "):
+            sr.load_diagonal(path)

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simrank as sr
 
 from conftest import make_graph
+
+# two in-link chains of length 6 from the root 0: 0->1->...->6, 0->7->...->12
+TWO_CHAINS = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+              (0, 7), (7, 8), (8, 9), (9, 10), (10, 11), (11, 12)]
 
 
 @pytest.fixture
@@ -23,6 +29,37 @@ def bound_suite():
         D = sr.exact_diagonal(g, cfg)
         suite.append((g, D, sr.dense_truncated(g, cfg, D)))
     return cfg, suite
+
+
+def ranked_row(row, u, k, theta_floor, allowed=None):
+    """Reference ranking: drop u, keep scores > theta_floor, (-score, id), cut at k."""
+    keep = [v for v in range(len(row)) if v != u and row[v] > theta_floor
+            and (allowed is None or v in allowed)]
+    keep.sort(key=lambda v: (-row[v], v))
+    return [(v, float(row[v])) for v in keep[:k]]
+
+
+@st.composite
+def topk_cases(draw):
+    """A random digraph on n <= 40 vertices with a query drawn on it.
+
+    Some vertices b copy the in-links of another vertex a, so that
+    s(u, a) = s(u, b) for every u and the tie rule gets exercised.
+    """
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(0, min(n * (n - 1), 4 * n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = set(make_graph(rng, n, m).edges)
+    for _ in range(draw(st.integers(0, n // 2))):
+        a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+        edges = {(w, x) for w, x in edges if x != b}
+        edges |= {(w, b) for w, x in edges if x == a and w != b}
+    g = sr.Graph(n, sorted(edges))
+    u = draw(st.integers(0, n - 1))
+    k = draw(st.integers(1, n + 1))
+    theta_floor = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))
+    allowed = draw(st.none() | st.sets(st.integers(0, n - 1)))
+    return g, u, k, theta_floor, allowed
 
 
 class TestGamma:
@@ -143,6 +180,23 @@ class TestIndexPersistence:
         with pytest.raises(ValueError, match="bounds index"):
             sr.load_bounds_index(str(path))
 
+    @pytest.mark.parametrize("cut", ["drop_last", "garble"])
+    def test_bad_candidate_file_names_file_and_line(self, tmp_path, star,
+                                                    cfg08, cut):
+        D = sr.exact_diagonal(star, cfg08)
+        path = tmp_path / "star.idx"
+        sr.save_bounds_index(str(path), sr.build_bounds_index(star, cfg08, D,
+                                                              rng=cfg08.rng()))
+        cand = tmp_path / "star.idx.cand"
+        lines = cand.read_text().splitlines()
+        if cut == "drop_last":
+            lines = lines[:-1]
+        else:
+            lines[2] = "2: 1 x"
+        cand.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"star\.idx\.cand:[34]: "):
+            sr.load_bounds_index(str(path))
+
 
 class TestTopkQuery:
     def test_star_leaf_query(self, star_exact):
@@ -157,13 +211,42 @@ class TestTopkQuery:
         with pytest.raises(ValueError, match="k"):
             sr.topk_query(g, cfg, D, None, 1, 0)
 
-    def test_bounds_do_not_change_results(self, bound_suite):
-        cfg, suite = bound_suite
-        for g, D, _ in suite[:3]:
-            for k in (1, 4):
-                on = sr.topk_query(g, cfg, D, None, 0, k, use_bounds=True)
-                off = sr.topk_query(g, cfg, D, None, 0, k, use_bounds=False)
-                assert on == off
+    @settings(max_examples=300, deadline=None)
+    @given(case=topk_cases(), c=st.floats(0.2, 0.9), T=st.integers(1, 15))
+    def test_exact_path_ranks_the_dense_row(self, case, c, T):
+        g, u, k, theta_floor, allowed = case
+        cfg = sr.Config(c=c, T=T)
+        D = sr.estimate_diagonal(g, cfg, sr.EstimationConfig(L=2))
+        index = None
+        if allowed is not None:
+            index = sr.BoundsIndex(np.zeros((g.n, T)), {u: allowed})
+        got = sr.topk_query(g, cfg, D, index, u, k, theta_floor=theta_floor)
+        # the rule holds exactly on the column the query scores ...
+        col = sr.single_source(g, cfg, D, u)
+        assert got == ranked_row(col, u, k, theta_floor, allowed)
+        # ... and that column is the oracle row.  Scores equal in the oracle
+        # may differ in the last bits, so two such ranks may swap, and a
+        # score equal to theta_floor may fall on either side of it
+        row = sr.dense_truncated(g, cfg, D)[u]
+        assert np.max(np.abs(col - row)) <= 1e-12
+        ref = ranked_row(row, u, k, theta_floor, allowed)
+        for (v, s), (w, s_ref) in zip(got, ref):
+            assert abs(s - s_ref) <= 1e-12
+            assert v == w or abs(row[v] - row[w]) <= 1e-12
+        common = min(len(got), len(ref))
+        for _, s in got[common:] + ref[common:]:
+            assert abs(s - theta_floor) <= 1e-12
+
+    def test_two_chains_find_the_far_twin(self):
+        """Vertices 6 and 12 sit at undirected distance 12 > T and still meet
+        at the root after 6 in-link steps: s = c^6 D_00 with D_00 = 1."""
+        g = sr.Graph(13, TWO_CHAINS)
+        cfg = sr.Config(c=0.6, T=11)
+        D = sr.estimate_diagonal(g, cfg, sr.EstimationConfig(L=3))
+        got = sr.topk_query(g, cfg, D, None, 6, 3)
+        assert [v for v, _ in got] == [12]
+        assert got[0][1] == pytest.approx(0.6 ** 6, abs=1e-12)
+        assert sr.brute_force_topk(g, cfg, 6, 1)[0][0] == 12
 
     def test_matches_brute_force_when_separated(self, bound_suite):
         cfg, suite = bound_suite

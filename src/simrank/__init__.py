@@ -8,7 +8,7 @@ from .graph import (Config, Distribution, Graph, GraphParseError,
 from .join import (JoinResult, ResidualStore, gauss_southwell_filter, join,
                    stochastic_threshold)
 from .mc import (VerifyResult, WalkBatch, mc_single_pair, meeting_time_sample,
-                 verify_pair)
+                 verify_pair, verify_pairs)
 from .oracle import (OracleCapExceeded, brute_force_join, brute_force_topk,
                      exact_diagonal, mean_error, naive_simrank)
 from .query import all_pairs, dense_truncated, single_pair, single_source
@@ -27,7 +27,7 @@ __all__ = [
     "initial_guess", "residual_norm", "save_diagonal", "load_diagonal",
     "single_pair", "single_source", "all_pairs", "dense_truncated",
     "WalkBatch", "mc_single_pair", "meeting_time_sample", "verify_pair",
-    "VerifyResult",
+    "verify_pairs", "VerifyResult",
     "AlphaBeta", "BoundsIndex", "build_gamma", "build_alpha_beta", "l2_bound",
     "build_candidate_index", "build_bounds_index", "save_bounds_index",
     "load_bounds_index", "topk_query",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -31,17 +30,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c", type=float, default=0.6, help="decay factor")
     parser.add_argument("--T", type=int, default=11, help="truncation depth")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (SIMRANK_THREADS as fallback)")
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SIMRANK_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _load_graph(args) -> tuple[Graph, Config]:
@@ -281,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _threads(args)  # validated; execution is currently sequential
     try:
         return args.func(args)
     except BrokenPipeError:

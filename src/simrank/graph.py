@@ -75,6 +75,7 @@ class Graph:
             count=int(self.in_ptr[-1]))
 
         self._P = None
+        self._PT = None
 
     @property
     def m(self) -> int:
@@ -93,6 +94,13 @@ class Graph:
                     vals.append(1.0 / deg)
             self._P = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
         return self._P
+
+    @property
+    def PT(self) -> sp.csr_matrix:
+        """P transposed, in CSR form, built once."""
+        if self._PT is None:
+            self._PT = self.P.T.tocsr()
+        return self._PT
 
     def dense_P(self) -> np.ndarray:
         return self.P.toarray()

@@ -2,10 +2,10 @@
 
 A Gauss-Southwell residual filter solves S = c P^T S P + D entrywise to
 accuracy (1-c)(1-gamma_acc) theta, producing a lower set J_L (certain members)
-and an upper set J_H (possible members).  Pairs in J_H minus J_L go through
-Monte-Carlo verification.  Optional stochastic thresholding drops tiny
-residual allocations to bound memory, with an exponential tail on the total
-mass dropped per entry.
+and an upper set J_H (possible members, S-tilde > 0 at gamma_acc = 0).  Pairs
+in J_H minus J_L go through one batched Monte-Carlo verification.  Optional
+stochastic thresholding drops tiny residual allocations to bound memory, with
+an exponential tail on the total mass dropped per entry.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .diag import DiagonalCorrection
 from .graph import Config, Graph
-from .mc import verify_pair
+from .mc import verify_pairs
 
 DEFAULT_MAX_ENTRIES = 2 * 10**8
 DEFAULT_BETA_SKIP = 100.0
@@ -215,11 +215,23 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
          max_entries: int = DEFAULT_MAX_ENTRIES) -> JoinResult:
     """All unordered vertex pairs with similarity >= theta (whp).
 
-    J_L members are reported as-is; pairs in J_H minus J_L are resolved by
-    adaptive meeting-time verification, accepted when the estimate lands on
-    the similar side at stopping.  Deterministic under a fixed seed: the
-    uncertain pairs are verified in sorted order on independent spawned
-    streams.
+    J_L holds the off-diagonal pairs with S-tilde >= theta, reported as-is.
+    J_H holds those with S-tilde >= gamma_acc * theta, or S-tilde > 0 when
+    gamma_acc = 0.  J_H is sound: with D >= 0 the filter only moves non-negative
+    residual mass into S-tilde, and at termination every residual is below
+    eps = (1-c)(1-gamma_acc) theta.  Since P is column-substochastic, each
+    entry of P^{Tt} R P^t is below eps too, so
+    S - S-tilde = sum_t c^t P^{Tt} R P^t < eps / (1-c) = (1-gamma_acc) theta,
+    and S >= theta implies S-tilde > gamma_acc * theta (> 0 at gamma_acc = 0).
+    This is exact with thresholding off.  With beta_skip set, a skipped
+    allocation drops its mass, so the statement holds with high probability:
+    per entry the dropped total exceeds delta with probability at most
+    exp(-beta_skip * delta), the tail of stochastic_threshold that acceptance
+    criterion 10 checks.
+
+    Pairs in J_H minus J_L are resolved by one verify_pairs call on rng in
+    sorted order, and accepted when the estimate lands on the similar side at
+    stopping.  Deterministic under a fixed seed.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0,1), got {p}")
@@ -229,29 +241,24 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
                                    rng, max_entries)
     J_L, J_H = set(), set()
     cut = gamma_acc * theta
-    if cut <= 0.0:
-        # a zero cut admits every pair, including ones the filter never touched
-        J_H = {(i, j) for i in range(g.n) for j in range(i + 1, g.n)}
     for key, value in store.solution.items():
         if key[0] == key[1]:
             continue
+        # with D >= 0 every stored entry was relaxed with a residual >= eps,
+        # so at cut = 0 this keeps exactly the support of S-tilde
         if value >= cut:
             J_H.add(key)
             if value >= theta:
                 J_L.add(key)
 
-    verified = set()
     uncertain = sorted(J_H - J_L)
-    samples = 0
-    if uncertain:
-        streams = rng.spawn(len(uncertain))
-        for (i, j), child in zip(uncertain, streams):
-            res = verify_pair(g, cfg, i, j, theta, p, R_max, child)
-            samples += res.samples_used
-            if res.side == "similar":
-                verified.add((i, j))
+    checked = (verify_pairs(g, cfg, uncertain, theta, p, R_max, rng)
+               if uncertain else [])
+    verified = {pair for pair, res in zip(uncertain, checked)
+                if res.side == "similar"}
 
     stats = dict(store.stats)
     stats.update({"J_L": len(J_L), "J_H": len(J_H),
-                  "verified": len(verified), "samples": samples})
+                  "verified": len(verified),
+                  "samples": sum(res.samples_used for res in checked)})
     return JoinResult(J_L, J_H, verified, stats)

@@ -16,6 +16,11 @@ from .diag import DiagonalCorrection
 from .graph import Config, Graph, walk_positions
 
 VERIFY_CHUNK = 64
+# samples per slice of a verify_pairs round: the round's undecided pairs go
+# through meeting_times and the stopping rule in slices of
+# max(1, VERIFY_BUDGET // chunk) pairs, so its arrays stay near 2^13 entries
+# however many pairs a join sends to verification
+VERIFY_BUDGET = 2**13
 
 
 @dataclass
@@ -60,14 +65,25 @@ def meeting_time_sample(g: Graph, cfg: Config, i: int, j: int,
 
 def meeting_time_samples(g: Graph, cfg: Config, i: int, j: int, R: int,
                          rng: np.random.Generator) -> np.ndarray:
-    """R independent draws of c^tau, vectorized over the sample axis."""
-    values = np.zeros(R)
-    if i == j:
-        values[:] = 1.0
-        return values
-    pos_a = np.full(R, i, dtype=np.int64)
-    pos_b = np.full(R, j, dtype=np.int64)
-    active = np.arange(R)
+    """R independent draws of c^tau for the pair (i, j)."""
+    return meeting_times(g, cfg, np.full(R, i, dtype=np.int64),
+                         np.full(R, j, dtype=np.int64), rng)
+
+
+def meeting_times(g: Graph, cfg: Config, pos_a: np.ndarray, pos_b: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """One draw of c^tau per entry of the start arrays pos_a, pos_b.
+
+    Entries may mix any pairs; all coupled walks step together, drawing a's
+    steps then b's from rng.  A pair starting on one vertex scores 1 and draws
+    nothing.
+    """
+    values = np.zeros(pos_a.size)
+    met = pos_a == pos_b
+    values[met] = 1.0
+    keep = ~met
+    pos_a, pos_b = pos_a[keep], pos_b[keep]
+    active = np.flatnonzero(keep)
     weight = 1.0
     for _ in range(cfg.T):
         deg_a = g.in_degree[pos_a]
@@ -84,8 +100,6 @@ def meeting_time_samples(g: Graph, cfg: Config, i: int, j: int, R: int,
         values[active[met]] = weight
         keep = ~met
         pos_a, pos_b, active = pos_a[keep], pos_b[keep], active[keep]
-        if active.size == 0:
-            break
     return values
 
 
@@ -103,13 +117,22 @@ class VerifyResult:
 
 def verify_pair(g: Graph, cfg: Config, i: int, j: int, theta: float,
                 p: float, R_max: int, rng: np.random.Generator) -> VerifyResult:
-    """Adaptive thresholding of s(i,j) against theta.
+    """Adaptive thresholding of s(i,j) against theta: verify_pairs on one pair."""
+    return verify_pairs(g, cfg, [(i, j)], theta, p, R_max, rng)[0]
 
-    Draws meeting-time samples one at a time (batched internally), keeps the
-    running mean s^(R) (which averages c**tau, not tau), and stops at the first
-    R with R * (s^(R) - theta)^2 >= log(1/p)/2 * (c/(1-c))^2.  Similar iff
+
+def verify_pairs(g: Graph, cfg: Config, pairs, theta: float, p: float,
+                 R_max: int, rng: np.random.Generator) -> list[VerifyResult]:
+    """Adaptive thresholding of s(i,j) against theta for every (i, j) in pairs.
+
+    Each round draws min(VERIFY_CHUNK, R_max - R) meeting-time samples for
+    every still-undecided pair, in pair order, with one meeting_times call per
+    slice of at most VERIFY_BUDGET samples.  Each pair keeps its own running
+    mean s^(R) (which averages c**tau, not tau) and stops at the first R with
+    R * (s^(R) - theta)^2 >= log(1/p)/2 * (c/(1-c))^2.  Similar iff
     s^(R) >= theta; hitting R_max without stopping flags the result undecided
-    while still reporting the side.
+    while still reporting the side.  For one pair the draws, and so the
+    result, are those of sampling that pair alone, chunk by chunk.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"theta must be in (0,1), got {theta}")
@@ -118,25 +141,40 @@ def verify_pair(g: Graph, cfg: Config, i: int, j: int, theta: float,
     if R_max < 1:
         raise ValueError(f"R_max must be >= 1, got {R_max}")
 
+    ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     bar = math.log(1.0 / p) / 2.0 * (cfg.c / (1.0 - cfg.c)) ** 2
-    total = 0.0
-    used = 0
-    terminated = False
-    while used < R_max:
-        chunk = min(VERIFY_CHUNK, R_max - used)
-        draws = meeting_time_samples(g, cfg, i, j, chunk, rng)
-        counts = used + 1 + np.arange(chunk)
-        means = (total + np.cumsum(draws)) / counts
-        ok = counts * (means - theta) ** 2 >= bar
-        hit = int(np.argmax(ok)) if ok.any() else -1
-        if hit >= 0:
-            used += hit + 1
-            total += float(np.sum(draws[:hit + 1]))
-            terminated = True
-            break
-        used += chunk
-        total += float(np.sum(draws))
-    estimate = total / used if used else 0.0
-    side = "similar" if estimate >= theta else "dissimilar"
-    decision = side if terminated else "undecided"
-    return VerifyResult(decision, side, estimate, used)
+    total = np.zeros(len(ij))
+    used = np.zeros(len(ij), dtype=np.int64)
+    terminated = np.zeros(len(ij), dtype=bool)
+    drawn = 0  # samples drawn so far for each undecided pair
+    undecided = np.arange(len(ij))
+    while drawn < R_max and undecided.size:
+        chunk = min(VERIFY_CHUNK, R_max - drawn)
+        counts = drawn + 1 + np.arange(chunk)
+        step = max(1, VERIFY_BUDGET // chunk)
+        for lo in range(0, undecided.size, step):
+            rows = undecided[lo:lo + step]
+            draws = meeting_times(
+                g, cfg, np.repeat(ij[rows, 0], chunk),
+                np.repeat(ij[rows, 1], chunk), rng).reshape(-1, chunk)
+            means = (total[rows, None] + np.cumsum(draws, axis=1)) / counts
+            ok = counts * (means - theta) ** 2 >= bar
+            hit = ok.any(axis=1)
+            for r in np.flatnonzero(hit):
+                stop = int(np.argmax(ok[r])) + 1
+                used[rows[r]] = drawn + stop
+                total[rows[r]] += float(np.sum(draws[r, :stop]))
+            terminated[rows[hit]] = True
+            # each row is contiguous, so its sum is that of the 1-D chunk
+            total[rows[~hit]] += np.sum(draws[~hit], axis=1)
+        drawn += chunk
+        undecided = undecided[~terminated[undecided]]
+    used[undecided] = drawn
+
+    results = []
+    for k in range(len(ij)):
+        estimate = float(total[k] / used[k])
+        side = "similar" if estimate >= theta else "dissimilar"
+        decision = side if terminated[k] else "undecided"
+        results.append(VerifyResult(decision, side, estimate, int(used[k])))
+    return results

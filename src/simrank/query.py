@@ -44,8 +44,7 @@ def single_source(g: Graph, cfg: Config, D: DiagonalCorrection, i: int,
     if memory_mode not in ("low", "fast"):
         raise ValueError(f"memory_mode must be 'low' or 'fast', got {memory_mode!r}")
     dvals = D.as_array()
-    P = g.P
-    PT = P.T.tocsr()
+    P, PT = g.P, g.PT
 
     if memory_mode == "low":
         result = np.zeros(g.n)

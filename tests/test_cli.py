@@ -213,13 +213,3 @@ class TestReproducibility:
             assert code == 0
             outs.append((open(d).read(), out))
         assert outs[0] == outs[1]
-
-    def test_threads_flag_and_env_accepted(self, capsys, star_file,
-                                           monkeypatch):
-        code, out, _ = run(capsys, ["query", "--graph", star_file,
-                                    "--threads", "2", "pair", "1", "2"])
-        assert code == 0
-        monkeypatch.setenv("SIMRANK_THREADS", "3")
-        code, out2, _ = run(capsys, ["query", "--graph", star_file,
-                                     "pair", "1", "2"])
-        assert code == 0 and out2 == out

@@ -77,6 +77,11 @@ class TestTransition:
             expected = 1.0 if g.in_degree[j] > 0 else 0.0
             assert sums[j] == pytest.approx(expected, abs=1e-12)
 
+    def test_transpose_is_cached_and_exact(self):
+        g = make_graph(np.random.default_rng(1), 15, 30)
+        assert g.PT is g.PT
+        assert np.array_equal(g.PT.toarray(), g.dense_P().T)
+
     def test_step_matches_matrix(self, star):
         d = sr.step(star, sr.Distribution.point(0))
         x = star.dense_P() @ np.eye(4)[0]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simrank as sr
 from simrank.diag import DiagonalCorrection
@@ -170,8 +172,11 @@ class TestJoin:
         g, idx = seven
         cfg = sr.Config(c=0.6, T=11)
         D = sr.exact_diagonal(g, cfg)
+        # four pairs score 0.239-0.247, 0.003-0.011 below theta, where the
+        # default R_max = 1000 leaves a standard error near 7.5e-3; at 200k it
+        # is near 5.3e-4, so the closest pair sits 6 standard errors out
         res = sr.join(g, cfg, D, theta=0.25, gamma_acc=0.5, p=0.01,
-                      rng=cfg.rng())
+                      R_max=200_000, rng=cfg.rng())
         named = {tuple(sorted((g.original_ids[i], g.original_ids[j])))
                  for i, j in res.result}
         assert named == {(1, 2), (5, 6)}
@@ -179,12 +184,13 @@ class TestJoin:
     def test_seed_determinism(self, join_suite):
         cfg, suite = join_suite
         g, D, _ = suite[2]
-        first = sr.join(g, cfg, D, 0.2, gamma_acc=0.4, beta_skip=100.0,
-                        rng=cfg.rng())
-        second = sr.join(g, cfg, D, 0.2, gamma_acc=0.4, beta_skip=100.0,
-                         rng=cfg.rng())
-        assert first.result == second.result
-        assert first.stats == second.stats
+        for gamma in (0.4, 0.0):
+            first = sr.join(g, cfg, D, 0.2, gamma_acc=gamma, beta_skip=100.0,
+                            rng=cfg.rng())
+            second = sr.join(g, cfg, D, 0.2, gamma_acc=gamma, beta_skip=100.0,
+                             rng=cfg.rng())
+            assert first.result == second.result
+            assert first.stats == second.stats
 
     def test_matches_oracle_with_verification(self, join_suite):
         cfg, suite = join_suite
@@ -199,3 +205,26 @@ class TestJoin:
         D = sr.exact_diagonal(star, cfg08)
         with pytest.raises(ValueError, match="p"):
             sr.join(star, cfg08, D, 0.5, p=0.0)
+
+
+@st.composite
+def small_digraphs(draw):
+    n = draw(st.integers(2, 16))
+    m = draw(st.integers(0, min(n * (n - 1), 3 * n)))
+    return make_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                      n, m)
+
+
+class TestZeroGammaUpperSet:
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_digraphs(), c=st.floats(0.2, 0.9),
+           theta=st.floats(0.02, 0.9))
+    def test_support_of_filter_holds_the_join(self, g, c, theta):
+        cfg = sr.Config(c=c, T=11)
+        D = sr.exact_diagonal(g, cfg)
+        res = sr.join(g, cfg, D, theta, gamma_acc=0.0, R_max=64)
+        store = sr.gauss_southwell_filter(g, cfg, D, theta, 0.0)
+        support = {k for k, v in store.solution.items()
+                   if k[0] < k[1] and v > 0.0}
+        assert res.J_H == support
+        assert sr.brute_force_join(g, cfg, theta + 1e-9) <= res.J_H

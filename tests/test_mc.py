@@ -1,10 +1,68 @@
+import math
+
 import numpy as np
 import pytest
 
 import simrank as sr
+from simrank import mc
 from simrank.mc import WalkBatch, meeting_time_samples
 
 from conftest import make_graph
+
+
+def per_pair_meeting_times(g, cfg, i, j, R, rng):
+    """The one-pair meeting-time sampler that verify_pair used to call."""
+    values = np.zeros(R)
+    if i == j:
+        values[:] = 1.0
+        return values
+    pos_a = np.full(R, i, dtype=np.int64)
+    pos_b = np.full(R, j, dtype=np.int64)
+    active = np.arange(R)
+    weight = 1.0
+    for _ in range(cfg.T):
+        deg_a = g.in_degree[pos_a]
+        deg_b = g.in_degree[pos_b]
+        alive = (deg_a > 0) & (deg_b > 0)
+        pos_a, pos_b, active = pos_a[alive], pos_b[alive], active[alive]
+        if active.size == 0:
+            break
+        deg_a, deg_b = deg_a[alive], deg_b[alive]
+        pos_a = g.in_adj[g.in_ptr[pos_a] + (rng.random(active.size) * deg_a).astype(np.int64)]
+        pos_b = g.in_adj[g.in_ptr[pos_b] + (rng.random(active.size) * deg_b).astype(np.int64)]
+        weight *= cfg.c
+        met = pos_a == pos_b
+        values[active[met]] = weight
+        keep = ~met
+        pos_a, pos_b, active = pos_a[keep], pos_b[keep], active[keep]
+        if active.size == 0:
+            break
+    return values
+
+
+def per_pair_verify(g, cfg, i, j, theta, p, R_max, rng):
+    """The per-pair verification loop verify_pair used to run, as a tuple."""
+    bar = math.log(1.0 / p) / 2.0 * (cfg.c / (1.0 - cfg.c)) ** 2
+    total = 0.0
+    used = 0
+    terminated = False
+    while used < R_max:
+        chunk = min(mc.VERIFY_CHUNK, R_max - used)
+        draws = per_pair_meeting_times(g, cfg, i, j, chunk, rng)
+        counts = used + 1 + np.arange(chunk)
+        means = (total + np.cumsum(draws)) / counts
+        ok = counts * (means - theta) ** 2 >= bar
+        hit = int(np.argmax(ok)) if ok.any() else -1
+        if hit >= 0:
+            used += hit + 1
+            total += float(np.sum(draws[:hit + 1]))
+            terminated = True
+            break
+        used += chunk
+        total += float(np.sum(draws))
+    estimate = total / used if used else 0.0
+    side = "similar" if estimate >= theta else "dissimilar"
+    return (side if terminated else "undecided", side, estimate, used)
 
 
 @pytest.fixture
@@ -121,3 +179,60 @@ class TestVerifyPair:
                                 cfg.rng())
         assert loose.samples_used < strict.samples_used
         assert loose.decision == strict.decision == "similar"
+
+
+class TestVerifyPairs:
+    def test_verify_pair_matches_the_per_pair_loop(self, seven, random_graphs):
+        g7, idx = seven
+        cfg = sr.Config(c=0.6, T=11)
+        cases = [(g7, idx[a], idx[b], theta, p, R_max)
+                 for a, b in [(1, 2), (5, 6), (3, 5), (2, 7), (4, 4)]
+                 for theta, p, R_max in [(0.25, 0.01, 1000), (0.2, 0.1, 100),
+                                         (0.24, 1e-3, 5000), (0.5, 0.01, 1),
+                                         (0.1, 0.05, 63), (0.6, 0.1, 2000)]]
+        g = random_graphs(1, 30, seed=5)[0]
+        cases += [(g, i, j, 0.05, 0.01, 1000) for i, j in [(0, 1), (2, 9)]]
+        for k, (h, i, j, theta, p, R_max) in enumerate(cases):
+            rng_new = np.random.default_rng([71, k])
+            rng_old = np.random.default_rng([71, k])
+            res = sr.verify_pair(h, cfg, i, j, theta, p, R_max, rng_new)
+            old = per_pair_verify(h, cfg, i, j, theta, p, R_max, rng_old)
+            assert (res.decision, res.side, res.estimate,
+                    res.samples_used) == old
+            # the same number of draws left both streams in the same state
+            assert rng_new.random() == rng_old.random()
+
+    def test_meeting_time_samples_match_the_per_pair_sampler(self, seven):
+        g, idx = seven
+        cfg = sr.Config(c=0.6, T=11)
+        for i, j in [(idx[1], idx[2]), (idx[3], idx[3]), (idx[6], idx[1])]:
+            new = meeting_time_samples(g, cfg, i, j, 500,
+                                       np.random.default_rng(3))
+            old = per_pair_meeting_times(g, cfg, i, j, 500,
+                                         np.random.default_rng(3))
+            assert np.array_equal(new, old)
+
+    @pytest.mark.parametrize("budget", [mc.VERIFY_BUDGET, 3 * mc.VERIFY_CHUNK])
+    def test_batch_agrees_with_single_pairs(self, monkeypatch, seven, budget):
+        # every pair at least 0.05 from theta; R_max is large enough for the
+        # Hoeffding rule to stop on each, so a wrong side has probability
+        # below p = 1e-3 per pair and call
+        monkeypatch.setattr(mc, "VERIFY_BUDGET", budget)
+        g, _ = seven
+        cfg = sr.Config(c=0.6, T=11)
+        S = sr.naive_simrank(g, cfg)
+        theta = 0.2
+        pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+                 if abs(S[i, j] - theta) >= 0.05]
+        assert len(pairs) >= 10
+        batch = mc.verify_pairs(g, cfg, pairs, theta, 1e-3, 20000,
+                                np.random.default_rng(9))
+        for k, (i, j) in enumerate(pairs):
+            single = sr.verify_pair(g, cfg, i, j, theta, 1e-3, 20000,
+                                    np.random.default_rng([9, k]))
+            truth = "similar" if S[i, j] >= theta else "dissimilar"
+            assert batch[k].decision == single.decision == truth
+
+    def test_empty_batch(self, star_exact):
+        g, cfg, _ = star_exact
+        assert mc.verify_pairs(g, cfg, [], 0.5, 0.01, 100, cfg.rng()) == []

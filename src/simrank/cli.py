@@ -24,6 +24,10 @@ from .oracle import naive_simrank
 from .query import DEFAULT_OUTPUT_THRESHOLD, all_pairs, single_pair, single_source
 from .topk import build_bounds_index, load_bounds_index, save_bounds_index, topk_query
 
+# largest n*m*T for which a command without --diag estimates the diagonal
+# exactly (L=3): about one second on a 2-vCPU Xeon, at ~4 ns per unit
+EXACT_DEFAULT_MAX_WORK = 250_000_000
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", required=True, help="edge list file, 'u v' per line")
@@ -39,7 +43,8 @@ def _load_graph(args) -> tuple[Graph, Config]:
 
 
 def _diagonal(args, g: Graph, cfg: Config) -> DiagonalCorrection:
-    """From --diag when given, else an exact-mode estimate at the defaults."""
+    """From --diag when given, else an exact-mode estimate at the defaults,
+    refused above EXACT_DEFAULT_MAX_WORK."""
     if getattr(args, "diag", None):
         D = load_diagonal(args.diag)
         if len(D) != g.n:
@@ -50,7 +55,20 @@ def _diagonal(args, g: Graph, cfg: Config) -> DiagonalCorrection:
             raise ValueError(
                 f"diagonal file {args.diag} was estimated at c={c}, "
                 f"but --c is {cfg.c}")
+        # a diagonal estimated at T_e < T leaves an error of order
+        # c^T_e / (1 - c), above the query's own truncation bound
+        T = D.params.get("T")
+        if T is not None and T < cfg.T:
+            raise ValueError(
+                f"diagonal file {args.diag} was estimated at T={T}, "
+                f"but --T is {cfg.T}; it needs T >= {cfg.T}")
         return D
+    work = g.n * g.m * cfg.T
+    if work > EXACT_DEFAULT_MAX_WORK:
+        raise ValueError(
+            f"without --diag the diagonal is estimated exactly, and n*m*T = "
+            f"{work} exceeds {EXACT_DEFAULT_MAX_WORK}; estimate it with "
+            f"'estimate-diag --mode mc --out FILE' and pass --diag FILE")
     return estimate_diagonal(g, cfg, EstimationConfig(L=3, mode="exact"))
 
 

@@ -7,11 +7,15 @@ Gauss-Seidel sweeps: each visit updates D_kk by (1 - S^L(D)_kk) /
 S^L(E^(k,k))_kk, with the two inner quantities evaluated either by exact
 truncated propagation or by Monte-Carlo walk histograms.
 
-Exact mode propagates a block of sources at once.  The row
+Both modes work a block of sources at a time.  The row
 W[k, :] = sum_{t<T} c^t (P^t e_k)^2 does not depend on D, so
-S^L(E^(k,k))_kk = W[k, k] and S^L(D)_kk = W[k, :] . diag(D); a block's rows
-are computed with sparse P @ X before the block's updates, which then run in
-vertex order against the values updated so far (true Gauss-Seidel).
+S^L(E^(k,k))_kk = W[k, k] and S^L(D)_kk = W[k, :] . diag(D).  Exact mode
+computes a block's rows with sparse P @ X (``weight_rows``); MC mode walks R
+walks from every source of the block together and counts (source, position)
+keys per step, so P^t e_k becomes the empirical frequency and the rows come
+out sparse (``walk_rows``).  The block's updates then run in vertex order
+against the values updated so far (true Gauss-Seidel), the same loop for
+both modes.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import Config, Graph, walk_positions
+from .graph import Config, Graph, walk_steps
 
 EXACT_CLAMP_SLACK = 1e-9
 MC_CLAMP_SLACK = 0.05
@@ -28,6 +33,8 @@ MC_CLAMP_SLACK = 0.05
 # max(1, BLOCK_BUDGET // n) sources, so its arrays stay near 2^15 entries
 # (n once n exceeds that) instead of the n^2 of propagating all sources at once
 BLOCK_BUDGET = 2**15
+# walks in flight in one MC block: a block holds max(1, WALK_BUDGET // R) sources
+WALK_BUDGET = 2**15
 
 
 @dataclass
@@ -75,26 +82,68 @@ def initial_guess(g: Graph, cfg: Config) -> DiagonalCorrection:
     return DiagonalCorrection(values, params=_params(cfg, None, "initial"))
 
 
-def source_blocks(n: int):
-    """Vertices 0..n-1 in consecutive blocks of max(1, BLOCK_BUDGET // n)."""
-    size = max(1, BLOCK_BUDGET // max(n, 1))
+def source_blocks(n: int, size: int | None = None):
+    """Vertices 0..n-1 in consecutive blocks of size, by default
+    max(1, BLOCK_BUDGET // n)."""
+    if size is None:
+        size = max(1, BLOCK_BUDGET // max(n, 1))
     for start in range(0, n, size):
         yield np.arange(start, min(start + size, n))
 
 
+def propagate(g: Graph, cfg: Config, ks: np.ndarray):
+    """Yield the dense n x len(ks) array P^t E_ks for t = 0..T-1: its column
+    j is P^t e_{ks[j]}."""
+    X = np.zeros((g.n, len(ks)))
+    X[ks, np.arange(len(ks))] = 1.0
+    for t in range(cfg.T):
+        yield X
+        if t + 1 < cfg.T:
+            X = g.P @ X
+
+
 def weight_rows(g: Graph, cfg: Config, ks: np.ndarray) -> np.ndarray:
     """W[j, :] = sum_{t<T} c^t (P^t e_{ks[j]})^2, one row per source in ks."""
-    P = g.P
-    X = np.zeros((g.n, len(ks)))  # column j is P^t e_{ks[j]}
-    X[ks, np.arange(len(ks))] = 1.0
-    W = np.zeros_like(X)
+    W = np.zeros((g.n, len(ks)))
     weight = 1.0
-    for t in range(cfg.T):
+    for X in propagate(g, cfg, ks):
         W += weight * (X * X)
-        if t + 1 < cfg.T:
-            X = P @ X
         weight *= cfg.c
     return np.ascontiguousarray(W.T)
+
+
+def walk_rows(g: Graph, cfg: Config, ks: np.ndarray, R: int,
+              rng: np.random.Generator) -> sp.csr_matrix:
+    """Sparse W[j, :] = sum_{t<T} c^t (h_t / R)^2, with h_t the step-t
+    position counts of R walks from ks[j]; the walks of all sources run
+    together, R consecutive walks per source."""
+    n = g.n
+    row_of_walk = np.repeat(np.arange(len(ks)) * n, R)
+    keys, vals = [], []
+    weight = 1.0
+    for pos, walk in walk_steps(g, np.repeat(ks, R), cfg.T, rng):
+        key = row_of_walk[walk] + pos
+        key.sort()
+        edge = np.ones(len(key) + 1, dtype=bool)  # run boundaries of equal keys
+        np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+        bounds = np.flatnonzero(edge)
+        counts = bounds[1:] - bounds[:-1]
+        keys.append(key[bounds[:-1]])
+        vals.append(weight * (counts / R) ** 2)
+        weight *= cfg.c
+    key = np.concatenate(keys)
+    return sp.csr_matrix((np.concatenate(vals), (key // n, key % n)),
+                         shape=(len(ks), n))
+
+
+def _row_terms(W, j: int, k: int, d: np.ndarray) -> tuple[float, float]:
+    """(W[j, k], W[j, :] . d) for a dense or a CSR block of rows."""
+    if sp.issparse(W):
+        lo, hi = W.indptr[j], W.indptr[j + 1]
+        cols, vals = W.indices[lo:hi], W.data[lo:hi]
+        return float(vals[cols == k].sum()), float(vals @ d[cols])
+    w = W[j]
+    return float(w[k]), float(w @ d)
 
 
 def inner_estimates(g: Graph, cfg: Config, D: DiagonalCorrection, k: int,
@@ -103,26 +152,15 @@ def inner_estimates(g: Graph, cfg: Config, D: DiagonalCorrection, k: int,
     """Truncated (a, b) with a ~ S^L(E^(k,k))_kk and b ~ S^L(D)_kk.
 
     a = sum_t c^t (P^t e_k)_k^2 and b = sum_t c^t sum_w (P^t e_k)_w^2 D_ww;
-    exact mode reads both off the one-source row W[k, :] of ``weight_rows``,
-    mc mode substitutes squared empirical frequencies from R walks.
+    both are read off the one-source row W[k, :] of ``weight_rows`` (exact)
+    or ``walk_rows`` (mc, squared empirical frequencies of R walks).
     """
-    dvals = D.as_array()
+    ks = np.array([k])
     if est_cfg.mode == "exact":
-        w = weight_rows(g, cfg, np.array([k]))[0]
-        return float(w[k]), float(w @ dvals)
-    if rng is None:
-        rng = cfg.rng()
-    R = est_cfg.R
-    hists = walk_positions(g, k, cfg.T, R, rng)
-    a = 0.0
-    b = 0.0
-    weight = 1.0
-    for hist in hists:
-        p = hist / R
-        a += weight * float(p[k]) ** 2
-        b += weight * float(np.sum(p * p * dvals))
-        weight *= cfg.c
-    return a, b
+        W = weight_rows(g, cfg, ks)
+    else:
+        W = walk_rows(g, cfg, ks, est_cfg.R, rng if rng is not None else cfg.rng())
+    return _row_terms(W, 0, k, D.as_array())
 
 
 def estimate_diagonal(g: Graph, cfg: Config,
@@ -142,16 +180,19 @@ def estimate_diagonal(g: Graph, cfg: Config,
             D.clamped += 1
         D.values[k] = clamped
 
-    for sweep in range(est_cfg.L):
+    def block_rows(ks: np.ndarray, sweep: int):
         if est_cfg.mode == "exact":
-            for ks in source_blocks(g.n):
-                for k, w in zip(ks, weight_rows(g, cfg, ks)):
-                    update(k, w[k], w @ D.values)
-        else:
-            for k in range(g.n):
-                # independent, order-insensitive stream per (sweep, vertex)
-                rng = np.random.default_rng([cfg.seed, sweep, k])
-                update(k, *inner_estimates(g, cfg, D, k, est_cfg, rng))
+            return weight_rows(g, cfg, ks)
+        # one stream per (sweep, block), named by the block's first vertex
+        rng = np.random.default_rng([cfg.seed, sweep, int(ks[0])])
+        return walk_rows(g, cfg, ks, est_cfg.R, rng)
+
+    size = None if est_cfg.mode == "exact" else max(1, WALK_BUDGET // est_cfg.R)
+    for sweep in range(est_cfg.L):
+        for ks in source_blocks(g.n, size):
+            W = block_rows(ks, sweep)
+            for j, k in enumerate(ks):
+                update(k, *_row_terms(W, j, k, D.values))
     D.params = _params(cfg, est_cfg, est_cfg.mode)
     return D
 

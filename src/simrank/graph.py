@@ -85,14 +85,9 @@ class Graph:
     def P(self) -> sp.csr_matrix:
         """Transition matrix of the transposed graph: P[i, j] = 1/|I(j)| for i in I(j)."""
         if self._P is None:
-            rows, cols, vals = [], [], []
-            for j in range(self.n):
-                deg = len(self.in_index[j])
-                for i in self.in_index[j]:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(1.0 / deg)
-            self._P = sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+            cols = np.repeat(np.arange(self.n), self.in_degree)
+            self._P = sp.csr_matrix((1.0 / self.in_degree[cols], (self.in_adj, cols)),
+                                    shape=(self.n, self.n))
         return self._P
 
     @property
@@ -229,6 +224,30 @@ def walk_positions(g: Graph, source: int, steps: int, R: int,
         idx = g.in_ptr[pos] + (rng.random(pos.size) * deg).astype(np.int64)
         pos = g.in_adj[idx]
     return hists
+
+
+def walk_steps(g: Graph, starts: np.ndarray, steps: int,
+               rng: np.random.Generator):
+    """Walk one in-link walk from each vertex of starts, all at once.
+
+    Yields, for t = 0..steps-1, the positions of the walks still alive at
+    step t and their indices into starts, both in start order.  A walk at a
+    vertex without in-links is absorbed and dropped from the next step on.
+    Each step draws rng.random(alive) in start order, as walk_positions does.
+    """
+    pos = np.asarray(starts, dtype=np.int64)
+    walk = np.arange(len(pos))
+    for t in range(steps):
+        yield pos, walk
+        if t + 1 == steps:
+            return
+        deg = g.in_degree[pos]
+        if not deg.all():
+            alive = np.flatnonzero(deg)
+            if alive.size == 0:
+                return
+            pos, walk, deg = pos[alive], walk[alive], deg[alive]
+        pos = g.in_adj[g.in_ptr[pos] + (rng.random(pos.size) * deg).astype(np.int64)]
 
 
 def walk_trajectory(g: Graph, source: int, steps: int,

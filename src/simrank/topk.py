@@ -22,9 +22,10 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .diag import DiagonalCorrection
-from .graph import Config, Graph, bfs_distances, walk_positions, walk_trajectory
+from .diag import WALK_BUDGET, DiagonalCorrection, propagate, source_blocks
+from .graph import Config, Graph, bfs_distances, walk_positions, walk_steps
 from .mc import mc_single_pair
 from .query import single_source
 
@@ -47,25 +48,30 @@ class BoundsIndex:
     params: dict = field(default_factory=dict)
 
 
+def gamma_table(g: Graph, cfg: Config, D: DiagonalCorrection,
+                ks: np.ndarray) -> np.ndarray:
+    """Exact rows gamma(u, t) = ||sqrt(D) P^t e_u|| for t = 0..T-1, one per u in ks."""
+    dvals = D.as_array()
+    out = np.empty((len(ks), cfg.T))
+    for t, X in enumerate(propagate(g, cfg, ks)):
+        XT = np.ascontiguousarray(X.T)
+        out[:, t] = np.sqrt(np.sum(dvals * XT * XT, axis=1))
+    return out
+
+
 def build_gamma(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,
                 mode: str = "exact", R: int = 100,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """Row gamma(u, t) for t = 0..T-1."""
+    """Row gamma(u, t) for t = 0..T-1; exact mode is gamma_table's one-vertex case."""
+    if mode == "exact":
+        return gamma_table(g, cfg, D, np.array([u]))[0]
     dvals = D.as_array()
     out = np.zeros(cfg.T)
-    if mode == "exact":
-        x = np.zeros(g.n)
-        x[u] = 1.0
-        P = g.P
-        for t in range(cfg.T):
-            out[t] = np.sqrt(float(np.sum(dvals * x * x)))
-            x = P @ x
-    else:
-        if rng is None:
-            rng = cfg.rng()
-        for t, hist in enumerate(walk_positions(g, u, cfg.T, R, rng)):
-            p = hist / R
-            out[t] = np.sqrt(float(np.sum(dvals * p * p)))
+    if rng is None:
+        rng = cfg.rng()
+    for t, hist in enumerate(walk_positions(g, u, cfg.T, R, rng)):
+        p = hist / R
+        out[t] = np.sqrt(float(np.sum(dvals * p * p)))
     return out
 
 
@@ -130,31 +136,57 @@ def build_candidate_index(g: Graph, cfg: Config, P_walks: int = DEFAULT_P_WALKS,
 
     Per vertex, P_walks rounds: one pilot walk and Q_walks probe walks; the
     pilot's step-t vertex becomes an anchor whenever two probes coincide at
-    step t.  Candidates of u are all v sharing an anchor with u.
+    step t.  Candidates of u are all v sharing an anchor with u: the support
+    of A A^T off the diagonal, with A the 0/1 vertex-by-anchor matrix.
     """
     if rng is None:
         rng = cfg.rng()
-    anchors: list[set[int]] = [set() for _ in range(g.n)]
-    for u in range(g.n):
-        for _ in range(P_walks):
-            pilot = walk_trajectory(g, u, cfg.T, rng)
-            probes = [walk_trajectory(g, u, cfg.T, rng) for _ in range(Q_walks)]
-            for t in range(1, len(pilot)):
-                at_t = [w[t] for w in probes if len(w) > t]
-                if len(at_t) - len(set(at_t)) >= 1:
-                    anchors[u].add(pilot[t])
-
-    by_anchor: dict[int, set[int]] = {}
-    for u, marks in enumerate(anchors):
-        for a in marks:
-            by_anchor.setdefault(a, set()).add(u)
-    candidates: dict[int, set[int]] = {u: set() for u in range(g.n)}
-    for members in by_anchor.values():
-        for u in members:
-            candidates[u].update(members)
-    for u in range(g.n):
-        candidates[u].discard(u)
+    n = g.n
+    size = max(1, WALK_BUDGET // (P_walks * (1 + Q_walks)))
+    marks = [walk_anchors(g, cfg, ks, P_walks, Q_walks, rng)
+             for ks in source_blocks(n, size)]
+    us, anchors = np.concatenate(marks, axis=1)
+    A = sp.csr_matrix((np.ones(len(us)), (us, anchors)), shape=(n, n))
+    AT = A.T.tocsr()
+    ids = list(range(n))  # one int object per vertex, shared by every set
+    candidates: dict[int, set[int]] = {}
+    for ks in source_blocks(n, size):
+        S = A[ks[0]:ks[-1] + 1] @ AT
+        for j, u in enumerate(ks.tolist()):
+            members = S.indices[S.indptr[j]:S.indptr[j + 1]].tolist()
+            row = set(map(ids.__getitem__, members))
+            row.discard(u)
+            candidates[u] = row.copy()  # a copy is sized to its contents
     return candidates
+
+
+def walk_anchors(g: Graph, cfg: Config, ks: np.ndarray, P_walks: int,
+                 Q_walks: int, rng: np.random.Generator) -> np.ndarray:
+    """The (vertex, anchor) marks of the candidate index rule for ks, as a
+    2 x m array that may repeat a pair.
+
+    All P_walks * (1 + Q_walks) walks of every vertex run together through
+    ``walk_steps`` for t = 0..T: vertex ks[i] owns P_walks consecutive rounds
+    of 1 + Q_walks consecutive walks, the first of a round being its pilot.
+    At step t >= 1 a round whose pilot is alive marks the pilot's position
+    when two of its alive probes stand on one vertex.
+    """
+    n = g.n
+    walks = 1 + Q_walks
+    out = [np.empty((2, 0), dtype=np.int64)]
+    starts = np.repeat(ks, P_walks * walks)
+    for t, (pos, walk) in enumerate(walk_steps(g, starts, cfg.T + 1, rng)):
+        if t == 0:
+            continue
+        rnd = walk // walks
+        pilot = walk % walks == 0
+        key = np.sort(rnd[~pilot] * n + pos[~pilot])
+        collided = np.zeros(len(ks) * P_walks, dtype=bool)
+        collided[key[1:][key[1:] == key[:-1]] // n] = True
+        marked = pilot.copy()
+        marked[pilot] = collided[rnd[pilot]]
+        out.append(np.stack([ks[rnd[marked] // P_walks], pos[marked]]))
+    return np.concatenate(out, axis=1)
 
 
 def build_bounds_index(g: Graph, cfg: Config, D: DiagonalCorrection,
@@ -164,8 +196,11 @@ def build_bounds_index(g: Graph, cfg: Config, D: DiagonalCorrection,
                        rng: np.random.Generator | None = None) -> BoundsIndex:
     if rng is None:
         rng = cfg.rng()
-    gamma = np.vstack([build_gamma(g, cfg, D, u, mode, R, rng)
-                       for u in range(g.n)])
+    if mode == "exact":
+        gamma = np.vstack([gamma_table(g, cfg, D, ks) for ks in source_blocks(g.n)])
+    else:
+        gamma = np.vstack([build_gamma(g, cfg, D, u, mode, R, rng)
+                           for u in range(g.n)])
     candidates = build_candidate_index(g, cfg, P_walks, Q_walks, rng)
     return BoundsIndex(gamma, candidates,
                        params={"R_gamma": R, "P_walks": P_walks,

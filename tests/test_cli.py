@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import simrank as sr
+from simrank import cli
 from simrank.cli import main
 
 from conftest import STAR_EDGES
@@ -116,6 +117,34 @@ class TestQuery:
                                       "pair", "1", "2"])
         assert code == 1 and out == ""
         assert star_diag in err and "c=0.8" in err and "0.6" in err
+
+    @pytest.mark.parametrize("query_T", ["10", "20", "40"])
+    def test_diag_header_T_must_cover_query_T(self, capsys, star_file,
+                                              tmp_path, query_T):
+        path = str(tmp_path / "t20.diag")
+        assert run(capsys, ["estimate-diag", "--graph", star_file, "--c", "0.8",
+                            "--T", "20", "--out", path])[0] == 0
+        code, out, err = run(capsys, ["query", "--graph", star_file,
+                                      "--c", "0.8", "--T", query_T,
+                                      "--diag", path, "pair", "1", "2"])
+        if int(query_T) <= 20:
+            assert code == 0 and float(out) > 0.7
+        else:
+            assert code == 1 and out == ""
+            assert path in err and "T=20" in err and "--T is 40" in err
+
+    def test_exact_default_refused_above_work_limit(self, capsys, monkeypatch,
+                                                    star_file, star_diag):
+        work = 4 * 6 * 40  # the star's n * m * T
+        argv = ["query", "--graph", star_file, "--c", "0.8", "--T", "40",
+                "pair", "1", "2"]
+        monkeypatch.setattr(cli, "EXACT_DEFAULT_MAX_WORK", work - 1)
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "estimate-diag --mode mc" in err and str(work) in err
+        assert run(capsys, [*argv, "--diag", star_diag])[0] == 0
+        monkeypatch.setattr(cli, "EXACT_DEFAULT_MAX_WORK", work)
+        assert run(capsys, argv)[0] == 0
 
 
 class TestTopk:

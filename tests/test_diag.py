@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import simrank as sr
 from simrank import diag
 from simrank.diag import EstimationConfig, inner_estimates
+from simrank.graph import walk_positions, walk_steps
 
 from conftest import make_graph
 
@@ -35,6 +36,59 @@ def dict_estimate_diagonal(g, cfg, L):
                 D.clamped += 1
             D.values[k] = clamped
     return D
+
+
+def recount_rows(g, cfg, ks, R, rng):
+    """Dense MC rows: a per-source bincount of the same walk_steps walks."""
+    W = np.zeros((len(ks), g.n))
+    for t, (pos, walk) in enumerate(walk_steps(g, np.repeat(ks, R), cfg.T, rng)):
+        for j in range(len(ks)):
+            hist = np.bincount(pos[walk // R == j], minlength=g.n)
+            W[j] += cfg.c ** t * (hist / R) ** 2
+    return W
+
+
+def hist_inner_estimates(g, cfg, D, k, R, rng):
+    """MC (a, b) from walk_positions histograms, one source (reference)."""
+    a = b = 0.0
+    weight = 1.0
+    for hist in walk_positions(g, k, cfg.T, R, rng):
+        p = hist / R
+        a += weight * float(p[k]) ** 2
+        b += weight * float(np.sum(p * p * D.values))
+        weight *= cfg.c
+    return a, b
+
+
+def recount_estimate_diagonal(g, cfg, L, R):
+    """MC Gauss-Seidel sweeps on recounted rows, one stream per block."""
+    D = sr.initial_guess(g, cfg)
+    lo = 1.0 - cfg.c - diag.MC_CLAMP_SLACK
+    hi = 1.0 + diag.MC_CLAMP_SLACK
+    size = max(1, diag.WALK_BUDGET // R)
+    for sweep in range(L):
+        for start in range(0, g.n, size):
+            ks = np.arange(start, min(start + size, g.n))
+            rng = np.random.default_rng([cfg.seed, sweep, start])
+            for k, w in zip(ks, recount_rows(g, cfg, ks, R, rng)):
+                updated = D.values[k] + (1.0 - w @ D.values) / w[k]
+                clamped = min(max(updated, lo), hi)
+                D.clamped += clamped != updated
+                D.values[k] = clamped
+    return D
+
+
+@st.composite
+def mc_cases(draw):
+    """A random digraph, a set of sources on it, R, c, T and a seed."""
+    n = draw(st.integers(1, 25))
+    m = draw(st.integers(0, min(n * (n - 1), 3 * n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = make_graph(rng, n, m)
+    ks = rng.permutation(n)[:draw(st.integers(1, n))]
+    cfg = sr.Config(c=draw(st.floats(0.2, 0.9)), T=draw(st.integers(1, 12)),
+                    seed=draw(st.integers(0, 1000)))
+    return g, ks, draw(st.integers(1, 60)), cfg
 
 
 @st.composite
@@ -128,6 +182,24 @@ class TestBlockKernel:
         dense = np.max(np.abs(np.diag(sr.dense_truncated(g, cfg, D)) - 1.0))
         assert sr.residual_norm(g, cfg, D) == pytest.approx(dense, abs=1e-12)
 
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gb=blocked_digraphs(), c=st.floats(0.2, 0.9), T=st.integers(1, 15))
+    def test_weight_rows_equal_unshared_loop(self, monkeypatch, gb, c, T):
+        g, size = gb
+        cfg = sr.Config(c=c, T=T)
+        for ks in diag.source_blocks(g.n, size):
+            X = np.zeros((g.n, len(ks)))
+            X[ks, np.arange(len(ks))] = 1.0
+            ref = np.zeros_like(X)
+            weight = 1.0
+            for t in range(T):
+                ref += weight * (X * X)
+                if t + 1 < T:
+                    X = g.P @ X
+                weight *= c
+            assert np.array_equal(diag.weight_rows(g, cfg, ks), ref.T)
+
     def test_blocks_cover_every_vertex_in_order(self, monkeypatch):
         monkeypatch.setattr(diag, "BLOCK_BUDGET", 30)
         blocks = list(diag.source_blocks(7))
@@ -135,6 +207,46 @@ class TestBlockKernel:
         assert np.array_equal(np.concatenate(blocks), np.arange(7))
         monkeypatch.setattr(diag, "BLOCK_BUDGET", 3)
         assert [len(b) for b in diag.source_blocks(7)] == [1] * 7
+
+
+class TestWalkRows:
+    """MC rows of a block of sources against dense per-source recounts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mc_cases())
+    def test_rows_equal_dense_recount(self, case):
+        g, ks, R, cfg = case
+        W = diag.walk_rows(g, cfg, ks, R, np.random.default_rng(cfg.seed))
+        ref = recount_rows(g, cfg, ks, R, np.random.default_rng(cfg.seed))
+        assert W.shape == ref.shape
+        assert np.max(np.abs(W.toarray() - ref)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mc_cases(), d_seed=st.integers(0, 10**6))
+    def test_one_source_block_matches_inner_estimates(self, case, d_seed):
+        g, ks, R, cfg = case
+        k = int(ks[0])
+        d = np.random.default_rng(d_seed).uniform(1 - cfg.c, 1.0, g.n)
+        D = diag.DiagonalCorrection(d)
+        W = diag.walk_rows(g, cfg, np.array([k]), R, np.random.default_rng(0))
+        a, b = W[0, k], W[0].toarray()[0] @ d
+        ref = hist_inner_estimates(g, cfg, D, k, R, np.random.default_rng(0))
+        got = inner_estimates(g, cfg, D, k, EstimationConfig(mode="mc", R=R),
+                              np.random.default_rng(0))
+        for pair in (ref, got):
+            assert abs(a - pair[0]) <= 1e-12 and abs(b - pair[1]) <= 1e-12
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=mc_cases(), L=st.integers(1, 3), budget=st.integers(1, 200))
+    def test_estimate_matches_recount_sweeps(self, monkeypatch, case, L,
+                                             budget):
+        g, _, R, cfg = case
+        monkeypatch.setattr(diag, "WALK_BUDGET", budget)
+        D = sr.estimate_diagonal(g, cfg, EstimationConfig(L=L, R=R, mode="mc"))
+        ref = recount_estimate_diagonal(g, cfg, L, R)
+        assert np.max(np.abs(D.values - ref.values)) <= 1e-12
+        assert (D.clamped, D.skipped) == (ref.clamped, 0)
 
 
 class TestInnerEstimates:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simrank as sr
-from simrank.graph import walk_positions, walk_trajectory
+from simrank.graph import walk_positions, walk_steps, walk_trajectory
 
 from conftest import STAR_EDGES, make_graph
 
@@ -130,6 +130,31 @@ class TestWalks:
         totals = [int(h.sum()) for h in hists]
         assert totals[0] == 30
         assert all(a >= b for a, b in zip(totals, totals[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 12),
+           R=st.integers(1, 40), steps=st.integers(1, 8))
+    def test_walk_steps_of_one_source_replay_walk_positions(self, seed, n, R,
+                                                            steps):
+        rng = np.random.default_rng(seed)
+        g = make_graph(rng, n, int(rng.integers(0, n * (n - 1) + 1)))
+        u = int(rng.integers(n))
+        hists = walk_positions(g, u, steps, R, np.random.default_rng(seed))
+        batch = list(walk_steps(g, np.full(R, u), steps,
+                                np.random.default_rng(seed)))
+        assert len(batch) <= steps
+        for t, hist in enumerate(hists):
+            pos, walk = batch[t] if t < len(batch) else ([], [])
+            assert np.array_equal(np.bincount(pos, minlength=n), hist)
+            assert np.all(np.diff(walk) > 0)  # survivors stay in start order
+
+    def test_walk_steps_index_into_starts(self):
+        g = sr.load_edge_list("0 1\n1 2\n")  # I(1) = {0}, I(2) = {1}
+        got = [(p.tolist(), w.tolist())
+               for p, w in walk_steps(g, np.array([2, 0, 1]), 4,
+                                      np.random.default_rng(0))]
+        # dense ids: 0, 1, 2 as given; the walk from 0 is absorbed first
+        assert got == [([2, 0, 1], [0, 1, 2]), ([1, 0], [0, 2]), ([0], [0])]
 
 
 class TestBfs:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import simrank as sr
+from simrank import diag, topk
+from simrank.graph import walk_steps
 
 from conftest import make_graph
 
@@ -62,7 +64,64 @@ def topk_cases(draw):
     return g, u, k, theta_floor, allowed
 
 
+def vector_gamma(g, cfg, D, u):
+    """gamma(u, t) by per-vertex vector propagation (reference)."""
+    out = np.zeros(cfg.T)
+    x = np.zeros(g.n)
+    x[u] = 1.0
+    for t in range(cfg.T):
+        out[t] = np.sqrt(float(np.sum(D.values * x * x)))
+        x = g.P @ x
+    return out
+
+
+def trajectory_anchors(g, cfg, ks, P_walks, Q_walks, rng):
+    """The per-walk anchor rule applied to walk_steps trajectories (reference)."""
+    walks = 1 + Q_walks
+    paths = [[] for _ in range(len(ks) * P_walks * walks)]
+    for pos, walk in walk_steps(g, np.repeat(ks, P_walks * walks), cfg.T + 1,
+                                rng):
+        for v, w in zip(pos.tolist(), walk.tolist()):
+            paths[w].append(v)
+    anchors = {int(u): set() for u in ks}
+    for r in range(len(ks) * P_walks):
+        pilot, *probes = paths[r * walks:(r + 1) * walks]
+        for t in range(1, len(pilot)):
+            at_t = [w[t] for w in probes if len(w) > t]
+            if len(at_t) - len(set(at_t)) >= 1:
+                anchors[int(ks[r // P_walks])].add(pilot[t])
+    return anchors
+
+
+@st.composite
+def index_cases(draw):
+    """A random digraph with a walk budget that cuts it into blocks."""
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(0, min(n * (n - 1), 3 * n)))
+    g = make_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, m)
+    cfg = sr.Config(c=0.6, T=draw(st.integers(1, 12)))
+    P_walks, Q_walks = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    budget = P_walks * (1 + Q_walks) * draw(st.integers(1, n))
+    return g, cfg, P_walks, Q_walks, budget, draw(st.integers(0, 10**6))
+
+
 class TestGamma:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=index_cases(), d_seed=st.integers(0, 10**6),
+           budget=st.integers(1, 1000))
+    def test_table_equals_vector_propagation_bitwise(self, monkeypatch, case,
+                                                      d_seed, budget):
+        g, cfg, *_ = case
+        monkeypatch.setattr(diag, "BLOCK_BUDGET", budget)
+        d = np.random.default_rng(d_seed).uniform(1 - cfg.c, 1.0, g.n)
+        D = diag.DiagonalCorrection(d)
+        ref = np.vstack([vector_gamma(g, cfg, D, u) for u in range(g.n)])
+        table = sr.build_bounds_index(g, cfg, D).gamma
+        assert np.array_equal(table, ref)
+        rows = np.vstack([sr.build_gamma(g, cfg, D, u) for u in range(g.n)])
+        assert np.array_equal(rows, ref)
+
     def test_step_zero_is_sqrt_diag(self, star_exact):
         g, cfg, D = star_exact
         for u in range(g.n):
@@ -150,6 +209,36 @@ class TestL2Bound:
 
 
 class TestCandidateIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(case=index_cases())
+    def test_anchors_follow_the_per_walk_rule(self, case):
+        g, cfg, P_walks, Q_walks, _, seed = case
+        ks = np.arange(g.n)
+        marks = topk.walk_anchors(g, cfg, ks, P_walks, Q_walks,
+                                  np.random.default_rng(seed))
+        got = {int(u): set() for u in ks}
+        for u, a in marks.T.tolist():
+            got[u].add(a)
+        ref = trajectory_anchors(g, cfg, ks, P_walks, Q_walks,
+                                 np.random.default_rng(seed))
+        assert got == ref
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=index_cases())
+    def test_candidates_share_an_anchor(self, monkeypatch, case):
+        g, cfg, P_walks, Q_walks, budget, seed = case
+        monkeypatch.setattr(topk, "WALK_BUDGET", budget)
+        cand = sr.build_candidate_index(g, cfg, P_walks, Q_walks,
+                                        np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        anchors = {}
+        for ks in diag.source_blocks(g.n, budget // (P_walks * (1 + Q_walks))):
+            anchors.update(trajectory_anchors(g, cfg, ks, P_walks, Q_walks, rng))
+        ref = {u: {v for v in range(g.n) if v != u and anchors[u] & anchors[v]}
+               for u in range(g.n)}
+        assert cand == ref and list(cand) == list(range(g.n))
+
     def test_star_leaves_find_each_other(self, star, cfg08):
         cand = sr.build_candidate_index(star, cfg08, rng=cfg08.rng())
         for leaf in (1, 2, 3):

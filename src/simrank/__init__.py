@@ -11,7 +11,8 @@ from .mc import (VerifyResult, WalkBatch, mc_single_pair, meeting_time_sample,
                  verify_pair, verify_pairs)
 from .oracle import (OracleCapExceeded, brute_force_join, brute_force_topk,
                      exact_diagonal, mean_error, naive_simrank)
-from .query import all_pairs, dense_truncated, single_pair, single_source
+from .query import (all_pairs, dense_truncated, single_pair, single_source,
+                    source_columns)
 from .topk import (AlphaBeta, BoundsIndex, build_alpha_beta,
                    build_bounds_index, build_candidate_index, build_gamma,
                    l2_bound, load_bounds_index, save_bounds_index, topk_query)
@@ -25,7 +26,8 @@ __all__ = [
     "mean_error", "OracleCapExceeded",
     "DiagonalCorrection", "EstimationConfig", "estimate_diagonal",
     "initial_guess", "residual_norm", "save_diagonal", "load_diagonal",
-    "single_pair", "single_source", "all_pairs", "dense_truncated",
+    "single_pair", "single_source", "source_columns", "all_pairs",
+    "dense_truncated",
     "WalkBatch", "mc_single_pair", "meeting_time_sample", "verify_pair",
     "verify_pairs", "VerifyResult",
     "AlphaBeta", "BoundsIndex", "build_gamma", "build_alpha_beta", "l2_bound",

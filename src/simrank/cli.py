@@ -115,8 +115,8 @@ def cmd_query(args) -> int:
             col = np.array([score(i, j) for j in range(g.n)])
         else:
             col = single_source(g, cfg, D, i)
-        for j in range(g.n):
-            print(f"{j}\t{col[j]:.6f}")
+        sys.stdout.write("".join(map("{}\t{:.6f}\n".format, range(g.n),
+                                     col.tolist())))
     else:  # allpairs
         if not args.out:
             raise ValueError("allpairs requires --out")

@@ -91,11 +91,16 @@ def source_blocks(n: int, size: int | None = None):
         yield np.arange(start, min(start + size, n))
 
 
-def propagate(g: Graph, cfg: Config, ks: np.ndarray):
+def propagate(g: Graph, cfg: Config, ks: np.ndarray | int):
     """Yield the dense n x len(ks) array P^t E_ks for t = 0..T-1: its column
-    j is P^t e_{ks[j]}."""
-    X = np.zeros((g.n, len(ks)))
-    X[ks, np.arange(len(ks))] = 1.0
+    j is P^t e_{ks[j]}.  A scalar source yields the length-n vector P^t e_ks,
+    which keeps the one-source case on sparse matrix-vector products."""
+    if np.ndim(ks) == 0:
+        X = np.zeros(g.n)
+        X[ks] = 1.0
+    else:
+        X = np.zeros((g.n, len(ks)))
+        X[ks, np.arange(len(ks))] = 1.0
     for t in range(cfg.T):
         yield X
         if t + 1 < cfg.T:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diag import DiagonalCorrection
+from .diag import DiagonalCorrection, propagate, source_blocks
 from .graph import Config, Graph
 
 DEFAULT_OUTPUT_THRESHOLD = 1e-4
@@ -34,59 +34,60 @@ def single_pair(g: Graph, cfg: Config, D: DiagonalCorrection,
     return score
 
 
-def single_source(g: Graph, cfg: Config, D: DiagonalCorrection, i: int,
-                  memory_mode: str = "fast") -> np.ndarray:
-    """The length-n column S e_i truncated at T terms.
+def source_columns(g: Graph, cfg: Config, D: DiagonalCorrection,
+                   ks: np.ndarray | int) -> np.ndarray:
+    """The n x len(ks) block whose column j is S e_{ks[j]} truncated at T terms.
 
-    "low" recomputes the reverse sweep per term: O(T^2 m) time, O(n) extra.
-    "fast" stores all T forward vectors: O(T m) time, O(T n) extra.
+    One forward pass keeps the stack D P^t E_ks for t < T (T n len(ks)
+    doubles), then the Horner pass acc = D P^t E_ks + c P^T acc folds it from
+    t = T-1 down to 0: T-1 sparse products each way, O(T m) per source.  A
+    scalar ks gives the length-n column S e_ks.
     """
-    if memory_mode not in ("low", "fast"):
-        raise ValueError(f"memory_mode must be 'low' or 'fast', got {memory_mode!r}")
     dvals = D.as_array()
-    P, PT = g.P, g.PT
-
-    if memory_mode == "low":
-        result = np.zeros(g.n)
-        x = np.zeros(g.n)
-        x[i] = 1.0
-        weight = 1.0
-        for t in range(cfg.T):
-            back = dvals * x
-            for _ in range(t):
-                back = PT @ back
-            result += weight * back
-            x = P @ x
-            weight *= cfg.c
-        return result
-
-    forwards = []
-    x = np.zeros(g.n)
-    x[i] = 1.0
-    for _ in range(cfg.T):
-        forwards.append(dvals * x)
-        x = P @ x
-    acc = forwards[-1]
-    for t in range(cfg.T - 2, -1, -1):
-        acc = forwards[t] + cfg.c * (PT @ acc)
+    if np.ndim(ks) > 0:
+        dvals = dvals[:, None]
+    stack = [dvals * X for X in propagate(g, cfg, ks)]
+    PT = g.PT
+    acc = stack.pop()
+    while stack:
+        acc = PT @ acc
+        acc *= cfg.c
+        acc += stack.pop()
     return acc
+
+
+def single_source(g: Graph, cfg: Config, D: DiagonalCorrection,
+                  i: int) -> np.ndarray:
+    """The length-n column S e_i truncated at T terms: ``source_columns``'s
+    one-source case, O(T m) time and O(T n) extra memory."""
+    return source_columns(g, cfg, D, i)
 
 
 def all_pairs(g: Graph, cfg: Config, D: DiagonalCorrection, sink,
               threshold: float = DEFAULT_OUTPUT_THRESHOLD) -> int:
     """Stream "i<TAB>j<TAB>score" rows for entries >= threshold, sorted by (i, j).
 
-    One single-source column is alive at a time; returns the row count.
-    threshold 0 emits every entry.
+    Sources go through ``source_columns`` in the blocks of
+    ``diag.source_blocks``, so the kernel's extra memory stays near
+    T * BLOCK_BUDGET doubles for any n; each block's rows are written in one
+    call.  threshold 0 emits every entry; a non-finite threshold raises
+    ValueError.  Returns the row count.
     """
+    if not np.isfinite(threshold):
+        raise ValueError(f"all-pairs threshold must be finite, got {threshold}")
     rows = 0
-    for i in range(g.n):
-        col = single_source(g, cfg, D, i)
-        for j in range(g.n):
-            score = float(col[j])
-            if score >= threshold:
-                sink.write(f"{i}\t{j}\t{score:.6f}\n")
-                rows += 1
+    for ks in source_blocks(g.n):
+        block = np.ascontiguousarray(source_columns(g, cfg, D, ks).T)
+        parts = []
+        for i, col in zip(ks.tolist(), block):
+            js = np.flatnonzero(col >= threshold)
+            # one format string per source, i written in, (j, score) interleaved
+            fields = [None] * (2 * len(js))
+            fields[0::2] = js.tolist()
+            fields[1::2] = col[js].tolist()
+            parts.append(f"{i}\t%d\t%.6f\n" * len(js) % tuple(fields))
+            rows += len(js)
+        sink.write("".join(parts))
     return rows
 
 

@@ -92,6 +92,16 @@ class TestQuery:
         assert out.strip() == f"rows={len(rows)}"
         assert {int(r[0]) for r in rows} == {0, 1, 2, 3}
 
+    def test_allpairs_rejects_nan_threshold(self, capsys, star_file, star_diag,
+                                            tmp_path):
+        code, out, err = run(capsys, ["query", "--graph", star_file,
+                                      "--c", "0.8", "--T", "40",
+                                      "--diag", star_diag, "allpairs",
+                                      "--threshold", "nan",
+                                      "--out", str(tmp_path / "ap.tsv")])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "nan" in err
+
     def test_wrong_arity(self, capsys, star_file):
         code, _, err = run(capsys, ["query", "--graph", star_file, "pair", "1"])
         assert code == 1 and "vertex argument" in err

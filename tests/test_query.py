@@ -50,17 +50,10 @@ class TestSingleSource:
         cfg = sr.Config(c=0.6, T=9)
         g = random_graphs(1, 25, seed=13)[0]
         D = sr.exact_diagonal(g, cfg)
-        low = sr.single_source(g, cfg, D, 3, memory_mode="low")
-        fast = sr.single_source(g, cfg, D, 3, memory_mode="fast")
-        assert low == pytest.approx(fast, abs=1e-12)
+        col = sr.single_source(g, cfg, D, 3)
         for j in (0, 1, g.n - 1):
-            assert fast[j] == pytest.approx(sr.single_pair(g, cfg, D, 3, j),
-                                            abs=1e-12)
-
-    def test_invalid_mode(self, star_exact):
-        g, cfg, D = star_exact
-        with pytest.raises(ValueError, match="memory_mode"):
-            sr.single_source(g, cfg, D, 0, memory_mode="turbo")
+            assert col[j] == pytest.approx(sr.single_pair(g, cfg, D, 3, j),
+                                           abs=1e-12)
 
     def test_dangling_source_is_self_only(self):
         g = sr.load_edge_list("0 1\n")
@@ -88,6 +81,67 @@ class TestAllPairs:
         g, cfg, D = star_exact
         sink = io.StringIO()
         assert sr.all_pairs(g, cfg, D, sink, threshold=0.0) == g.n * g.n
+
+    def test_non_finite_threshold_is_rejected(self, star_exact):
+        g, cfg, D = star_exact
+        for threshold in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=str(threshold)):
+                sr.all_pairs(g, cfg, D, io.StringIO(), threshold=threshold)
+
+
+def _per_column_all_pairs(g, cfg, D, sink, threshold):
+    """The per-source loop all_pairs replaced, kept as its byte reference."""
+    rows = 0
+    for i in range(g.n):
+        col = sr.single_source(g, cfg, D, i)
+        for j in range(g.n):
+            score = float(col[j])
+            if score >= threshold:
+                sink.write(f"{i}\t{j}\t{score:.6f}\n")
+                rows += 1
+    return rows
+
+
+@st.composite
+def query_cases(draw):
+    """A random digraph with n <= 30, c, T and a diagonal in [1-c, 1]."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(0, min(3 * n, n * (n - 1))))
+    c = draw(st.floats(0.2, 0.9))
+    T = draw(st.integers(1, 12))
+    rng = np.random.default_rng(seed)
+    g = make_graph(rng, n, m)
+    D = sr.DiagonalCorrection(rng.uniform(1 - c, 1.0, n))
+    return g, sr.Config(c=c, T=T), D, rng
+
+
+class TestSourceColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(case=query_cases())
+    def test_block_equals_single_source_and_dense(self, case):
+        g, cfg, D, rng = case
+        ks = rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False)
+        cols = sr.source_columns(g, cfg, D, ks)
+        assert cols.shape == (g.n, len(ks))
+        for j, k in enumerate(ks):
+            assert np.array_equal(cols[:, j], sr.single_source(g, cfg, D, k))
+        S = sr.dense_truncated(g, cfg, D)
+        assert np.max(np.abs(cols - S[:, ks]), initial=0.0) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=query_cases())
+    def test_all_pairs_bytes_equal_per_column_loop(self, case):
+        g, cfg, D, _ = case
+        for threshold in (0.0, 1e-4, 0.3):
+            want = io.StringIO()
+            want_rows = _per_column_all_pairs(g, cfg, D, want, threshold)
+            for size in (1, 3, g.n):
+                got = io.StringIO()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(sr.diag, "BLOCK_BUDGET", size * g.n)
+                    assert sr.all_pairs(g, cfg, D, got, threshold) == want_rows
+                assert got.getvalue() == want.getvalue()
 
 
 class TestDenseTruncated:

@@ -1,5 +1,5 @@
 """Linearized SimRank: diagonal correction estimation, deterministic and
-Monte-Carlo queries, top-k search with pruning bounds, and threshold joins."""
+Monte-Carlo queries, top-k search over one column, and threshold joins."""
 
 from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
                    initial_guess, load_diagonal, residual_norm, save_diagonal)
@@ -7,15 +7,15 @@ from .graph import (Config, Distribution, Graph, GraphParseError,
                     bfs_distances, load_edge_list, sample_step, step)
 from .join import (JoinResult, ResidualStore, gauss_southwell_filter, join,
                    stochastic_threshold)
-from .mc import (VerifyResult, WalkBatch, mc_single_pair, meeting_time_sample,
-                 verify_pair, verify_pairs)
+from .mc import (VerifyResult, mc_single_pair, mc_single_source,
+                 meeting_time_sample, verify_pair, verify_pairs)
 from .oracle import (OracleCapExceeded, brute_force_join, brute_force_topk,
                      exact_diagonal, mean_error, naive_simrank)
 from .query import (all_pairs, dense_truncated, single_pair, single_source,
                     source_columns)
 from .topk import (AlphaBeta, BoundsIndex, build_alpha_beta,
                    build_bounds_index, build_candidate_index, build_gamma,
-                   l2_bound, load_bounds_index, save_bounds_index, topk_query)
+                   l2_bound, topk_query)
 
 __version__ = "0.1.0"
 
@@ -28,11 +28,10 @@ __all__ = [
     "initial_guess", "residual_norm", "save_diagonal", "load_diagonal",
     "single_pair", "single_source", "source_columns", "all_pairs",
     "dense_truncated",
-    "WalkBatch", "mc_single_pair", "meeting_time_sample", "verify_pair",
-    "verify_pairs", "VerifyResult",
+    "mc_single_pair", "mc_single_source", "meeting_time_sample",
+    "verify_pair", "verify_pairs", "VerifyResult",
     "AlphaBeta", "BoundsIndex", "build_gamma", "build_alpha_beta", "l2_bound",
-    "build_candidate_index", "build_bounds_index", "save_bounds_index",
-    "load_bounds_index", "topk_query",
+    "build_candidate_index", "build_bounds_index", "topk_query",
     "ResidualStore", "JoinResult", "stochastic_threshold",
     "gauss_southwell_filter", "join",
     "__version__",

@@ -19,10 +19,11 @@ from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
                    load_diagonal, residual_norm, save_diagonal)
 from .graph import Config, Graph, load_edge_list
 from .join import join
-from .mc import mc_single_pair
+from .mc import mc_single_pair, mc_single_source
 from .oracle import naive_simrank
-from .query import DEFAULT_OUTPUT_THRESHOLD, all_pairs, single_pair, single_source
-from .topk import build_bounds_index, load_bounds_index, save_bounds_index, topk_query
+from .query import (DEFAULT_OUTPUT_THRESHOLD, all_pairs, single_pair,
+                    single_source, tsv_rows)
+from .topk import topk_query
 
 # largest n*m*T for which a command without --diag estimates the diagonal
 # exactly (L=3): about one second on a 2-vCPU Xeon, at ~4 ns per unit
@@ -89,37 +90,34 @@ def cmd_estimate_diag(args) -> int:
 
 def cmd_query(args) -> int:
     g, cfg = _load_graph(args)
-    D = _diagonal(args, g, cfg)
-    rng = cfg.rng()
-
-    def score(i: int, j: int) -> float:
-        if args.estimator == "mc":
-            return mc_single_pair(g, cfg, D, i, j, args.R, rng)
-        return single_pair(g, cfg, D, i, j)
-
     expected = {"pair": 2, "source": 1, "allpairs": 0}[args.submode]
     if len(args.vertices) != expected:
         raise ValueError(
             f"query {args.submode} takes {expected} vertex argument(s), "
             f"got {len(args.vertices)}")
+    for v in args.vertices:
+        _check_vertex(g, v)
+    if args.submode == "allpairs":
+        if not args.out:
+            raise ValueError("allpairs requires --out")
+        if not np.isfinite(args.threshold):
+            raise ValueError(f"--threshold must be finite, got {args.threshold}")
+    D = _diagonal(args, g, cfg)
+    rng = cfg.rng()
+    mc = args.estimator == "mc"
 
     if args.submode == "pair":
         i, j = args.vertices
-        _check_vertex(g, i)
-        _check_vertex(g, j)
-        print(f"{score(i, j):.6f}")
+        s = (mc_single_pair(g, cfg, D, i, j, args.R, rng) if mc
+             else single_pair(g, cfg, D, i, j))
+        print(f"{s:.6f}")
     elif args.submode == "source":
         (i,) = args.vertices
-        _check_vertex(g, i)
-        if args.estimator == "mc":
-            col = np.array([score(i, j) for j in range(g.n)])
-        else:
-            col = single_source(g, cfg, D, i)
+        col = (mc_single_source(g, cfg, D, i, args.R, rng) if mc
+               else single_source(g, cfg, D, i))
         sys.stdout.write("".join(map("{}\t{:.6f}\n".format, range(g.n),
                                      col.tolist())))
     else:  # allpairs
-        if not args.out:
-            raise ValueError("allpairs requires --out")
         with open(args.out, "w") as fh:
             rows = all_pairs(g, cfg, D, fh, threshold=args.threshold)
         print(f"rows={rows}")
@@ -130,22 +128,9 @@ def cmd_topk(args) -> int:
     g, cfg = _load_graph(args)
     _check_vertex(g, args.source)
     D = _diagonal(args, g, cfg)
-    index = None
-    if args.index:
-        if args.build_index:
-            index = build_bounds_index(g, cfg, D, rng=cfg.rng())
-            save_bounds_index(args.index, index)
-        else:
-            index = load_bounds_index(args.index)
-            n, T = index.gamma.shape
-            if n != g.n or T != cfg.T:
-                raise ValueError(
-                    f"bounds index {args.index} has n={n}, T={T}, but the graph "
-                    f"has n={g.n} and --T is {cfg.T}")
-    adaptive = None
-    if args.estimator == "mc":
-        adaptive = (args.R_lo, args.R_hi)
-    ranked = topk_query(g, cfg, D, index, args.source, args.k,
+    # topk_query draws its Monte-Carlo column from adaptive[1] walks
+    adaptive = (args.R, args.R) if args.estimator == "mc" else None
+    ranked = topk_query(g, cfg, D, None, args.source, args.k,
                         theta_floor=args.theta_floor, adaptive=adaptive,
                         rng=cfg.rng())
     for v, s in ranked:
@@ -176,10 +161,10 @@ def cmd_oracle(args) -> int:
     g, cfg = _load_graph(args)
     S = naive_simrank(g, cfg, cap=args.cap)
     sink = open(args.out, "w") if args.out else sys.stdout
+    js = list(range(g.n))
     try:
-        for i in range(g.n):
-            for j in range(g.n):
-                sink.write(f"{i}\t{j}\t{S[i, j]:.6f}\n")
+        for i, row in enumerate(S.tolist()):
+            sink.write(tsv_rows(i, js, row))
     finally:
         if args.out:
             sink.close()
@@ -243,13 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--theta-floor", type=float, default=0.0, dest="theta_floor")
-    p.add_argument("--index", help="bounds index path")
-    p.add_argument("--build-index", action="store_true",
-                   help="build and save the index at --index before querying")
     p.add_argument("--diag", help="diagonal file (default: exact estimate)")
     p.add_argument("--estimator", choices=("exact", "mc"), default="exact")
-    p.add_argument("--R-lo", type=int, default=10, dest="R_lo")
-    p.add_argument("--R-hi", type=int, default=100, dest="R_hi")
+    p.add_argument("--R", type=int, default=100,
+                   help="walks for the mc column")
     p.set_defaults(func=cmd_topk)
 
     p = sub.add_parser("join", help="all pairs above a similarity threshold")

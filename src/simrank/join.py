@@ -10,7 +10,6 @@ an exponential tail on the total mass dropped per entry.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -38,38 +37,29 @@ class ResidualStore:
 
     residuals holds R-tilde, solution holds S-tilde; a key present in
     residuals counts as allocated for thresholding purposes even after its
-    value is drained to zero.  The worklist uses lazy deletion: popped keys
-    are revalidated against eps.
+    value is drained to zero.  The worklist is a FIFO queue with lazy
+    deletion: popped keys are revalidated against eps.
     """
 
     eps: float
-    discipline: str = "fifo"  # "fifo" | "max"
     residuals: dict[tuple[int, int], float] = field(default_factory=dict)
     solution: dict[tuple[int, int], float] = field(default_factory=dict)
     stats: dict = field(default_factory=lambda: {
         "relaxations": 0, "pushes": 0, "allocations": 0, "skips": 0,
         "max_entries": 0, "total_pushed": 0.0})
     _fifo: deque = field(default_factory=deque)
-    _heap: list = field(default_factory=list)
     _queued: set = field(default_factory=set)
 
     def enqueue(self, key: tuple[int, int]) -> None:
         if key in self._queued:
             return
         self._queued.add(key)
-        if self.discipline == "fifo":
-            self._fifo.append(key)
-        else:
-            heapq.heappush(self._heap, (-abs(self.residuals.get(key, 0.0)), key))
+        self._fifo.append(key)
 
     def pop(self) -> tuple[int, int] | None:
         """Next key with |residual| >= eps, or None when the worklist drains."""
-        queue = self._fifo if self.discipline == "fifo" else self._heap
-        while queue:
-            if self.discipline == "fifo":
-                key = queue.popleft()
-            else:
-                key = heapq.heappop(queue)[1]
+        while self._fifo:
+            key = self._fifo.popleft()
             self._queued.discard(key)
             if abs(self.residuals.get(key, 0.0)) >= self.eps:
                 return key
@@ -125,8 +115,7 @@ def gauss_southwell_filter(g: Graph, cfg: Config, D: DiagonalCorrection,
                            theta: float, gamma_acc: float = 0.0,
                            beta_skip: float | None = None,
                            rng: np.random.Generator | None = None,
-                           max_entries: int = DEFAULT_MAX_ENTRIES,
-                           worklist: str = "fifo") -> ResidualStore:
+                           max_entries: int = DEFAULT_MAX_ENTRIES) -> ResidualStore:
     """Run the residual filter to tolerance eps = (1-c)(1-gamma_acc) theta.
 
     Starts from S-tilde = 0, R-tilde = D and repeatedly relaxes a pair whose
@@ -143,13 +132,11 @@ def gauss_southwell_filter(g: Graph, cfg: Config, D: DiagonalCorrection,
         raise ValueError(f"theta must be positive, got {theta}")
     if beta_skip is not None and beta_skip <= 0:
         raise ValueError(f"beta_skip must be positive, got {beta_skip}")
-    if worklist not in ("fifo", "max"):
-        raise ValueError(f"worklist must be 'fifo' or 'max', got {worklist!r}")
     if beta_skip is not None and rng is None:
         rng = cfg.rng()
 
     eps = (1.0 - cfg.c) * (1.0 - gamma_acc) * theta
-    store = ResidualStore(eps=eps, discipline=worklist)
+    store = ResidualStore(eps=eps)
     dvals = D.as_array()
     for k in range(g.n):
         if dvals[k] != 0.0:

@@ -1,8 +1,9 @@
 """Monte-Carlo estimators and adaptive pair verification.
 
-Two families: single-pair estimation from two batches of in-link walks over
-the series expansion, and first-meeting-time sampling of coupled walks, where
-the score equals E[c^tau] for the first step tau at which the walks coincide.
+Two families: estimation over the series expansion from batches of in-link
+walks (one pair from two batches, one source column from one batch), and
+first-meeting-time sampling of coupled walks, where the score equals
+E[c^tau] for the first step tau at which the walks coincide.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .diag import DiagonalCorrection
 from .graph import Config, Graph, walk_positions
+from .query import fold_series
 
 VERIFY_CHUNK = 64
 # samples per slice of a verify_pairs round: the round's undecided pairs go
@@ -23,34 +25,36 @@ VERIFY_CHUNK = 64
 VERIFY_BUDGET = 2**13
 
 
-@dataclass
-class WalkBatch:
-    """R walks from one source; per-step position histograms (absorbed walks drop out)."""
-
-    source: int
-    R: int
-    positions: list[np.ndarray]
-
-    @classmethod
-    def simulate(cls, g: Graph, cfg: Config, source: int, R: int,
-                 rng: np.random.Generator) -> "WalkBatch":
-        return cls(source, R, walk_positions(g, source, cfg.T, R, rng))
-
-
 def mc_single_pair(g: Graph, cfg: Config, D: DiagonalCorrection,
                    i: int, j: int, R: int, rng: np.random.Generator) -> float:
     """sum_t c^t sum_w D_ww count_i(w,t) count_j(w,t) / R^2 from two batches."""
     if i == j:
         return 1.0
     dvals = D.as_array()
-    batch_i = WalkBatch.simulate(g, cfg, i, R, rng)
-    batch_j = WalkBatch.simulate(g, cfg, j, R, rng)
+    hists_i = walk_positions(g, i, cfg.T, R, rng)
+    hists_j = walk_positions(g, j, cfg.T, R, rng)
     score = 0.0
     weight = 1.0
-    for hi, hj in zip(batch_i.positions, batch_j.positions):
+    for hi, hj in zip(hists_i, hists_j):
         score += weight * float(np.sum(dvals * hi * hj)) / (R * R)
         weight *= cfg.c
     return score
+
+
+def mc_single_source(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,
+                     R: int, rng: np.random.Generator) -> np.ndarray:
+    """Unbiased estimate of the truncated column S e_u from R walks.
+
+    With h_t the step-t position counts of R in-link walks from u, the
+    estimate is sum_t c^t (P^T)^t D h_t / R, folded by ``query.fold_series``:
+    E[h_t / R] = P^t e_u and the fold is linear.  O(R T) walk steps plus
+    T-1 sparse products P^T x.
+    """
+    if R < 1:
+        raise ValueError(f"R must be >= 1, got {R}")
+    scale = D.as_array() / R
+    return fold_series(g, cfg, [scale * h
+                                for h in walk_positions(g, u, cfg.T, R, rng)])
 
 
 def meeting_time_sample(g: Graph, cfg: Config, i: int, j: int,

@@ -39,14 +39,23 @@ def source_columns(g: Graph, cfg: Config, D: DiagonalCorrection,
     """The n x len(ks) block whose column j is S e_{ks[j]} truncated at T terms.
 
     One forward pass keeps the stack D P^t E_ks for t < T (T n len(ks)
-    doubles), then the Horner pass acc = D P^t E_ks + c P^T acc folds it from
-    t = T-1 down to 0: T-1 sparse products each way, O(T m) per source.  A
-    scalar ks gives the length-n column S e_ks.
+    doubles), and ``fold_series`` folds it: T-1 sparse products each way,
+    O(T m) per source.  A scalar ks gives the length-n column S e_ks.
     """
     dvals = D.as_array()
     if np.ndim(ks) > 0:
         dvals = dvals[:, None]
-    stack = [dvals * X for X in propagate(g, cfg, ks)]
+    return fold_series(g, cfg, [dvals * X for X in propagate(g, cfg, ks)])
+
+
+def fold_series(g: Graph, cfg: Config, stack: list[np.ndarray]) -> np.ndarray:
+    """sum_t c^t (P^T)^t stack[t] by the Horner pass acc = stack[t] + c P^T acc
+    from t = len(stack)-1 down to 0; consumes stack.
+
+    Every column query ends here: the exact stack D P^t E_ks of
+    ``source_columns`` and the walk stack D h_t / R of
+    ``mc.mc_single_source``.
+    """
     PT = g.PT
     acc = stack.pop()
     while stack:
@@ -54,6 +63,15 @@ def source_columns(g: Graph, cfg: Config, D: DiagonalCorrection,
         acc *= cfg.c
         acc += stack.pop()
     return acc
+
+
+def tsv_rows(i: int, js, scores) -> str:
+    """The rows "i<TAB>j<TAB>score" for the parallel sequences js and scores,
+    scores to 6 decimals, in one format string."""
+    fields = [None] * (2 * len(js))
+    fields[0::2] = js
+    fields[1::2] = scores
+    return f"{i}\t%d\t%.6f\n" * len(js) % tuple(fields)
 
 
 def single_source(g: Graph, cfg: Config, D: DiagonalCorrection,
@@ -81,11 +99,7 @@ def all_pairs(g: Graph, cfg: Config, D: DiagonalCorrection, sink,
         parts = []
         for i, col in zip(ks.tolist(), block):
             js = np.flatnonzero(col >= threshold)
-            # one format string per source, i written in, (j, score) interleaved
-            fields = [None] * (2 * len(js))
-            fields[0::2] = js.tolist()
-            fields[1::2] = col[js].tolist()
-            parts.append(f"{i}\t%d\t%.6f\n" * len(js) % tuple(fields))
+            parts.append(tsv_rows(i, js.tolist(), col[js].tolist()))
             rows += len(js)
         sink.write("".join(parts))
     return rows

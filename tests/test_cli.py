@@ -5,7 +5,7 @@ import simrank as sr
 from simrank import cli
 from simrank.cli import main
 
-from conftest import STAR_EDGES
+from conftest import SEVEN_EDGES, STAR_EDGES
 
 
 @pytest.fixture
@@ -80,6 +80,17 @@ class TestQuery:
         assert lines[0].split("\t") == ["0", "1.000000"]
         assert lines[1].split("\t") == ["1", "0.000000"]
 
+    def test_source_mc_column(self, capsys, star_file, star_diag):
+        """Every walk from leaf 1 stands on the hub at odd steps and on a leaf
+        at even ones, so the folded estimate at leaf 2 is the exact score."""
+        code, out, _ = run(capsys, ["query", "--graph", star_file,
+                                    "--c", "0.8", "--T", "40",
+                                    "--diag", star_diag, "--estimator", "mc",
+                                    "--R", "50", "source", "1"])
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert code == 0 and [r[0] for r in rows] == ["0", "1", "2", "3"]
+        assert float(rows[2][1]) == pytest.approx(0.8, abs=1e-3)
+
     def test_allpairs_covers_all_sources(self, capsys, star_file, star_diag,
                                          tmp_path):
         out_path = tmp_path / "ap.tsv"
@@ -92,15 +103,23 @@ class TestQuery:
         assert out.strip() == f"rows={len(rows)}"
         assert {int(r[0]) for r in rows} == {0, 1, 2, 3}
 
-    def test_allpairs_rejects_nan_threshold(self, capsys, star_file, star_diag,
-                                            tmp_path):
-        code, out, err = run(capsys, ["query", "--graph", star_file,
-                                      "--c", "0.8", "--T", "40",
-                                      "--diag", star_diag, "allpairs",
-                                      "--threshold", "nan",
-                                      "--out", str(tmp_path / "ap.tsv")])
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "nan" in err
+    def test_allpairs_rejects_nan_threshold(self, capsys, monkeypatch,
+                                            star_file, star_diag, tmp_path):
+        """The threshold is checked before the diagonal is read or estimated
+        and before --out is opened."""
+        def untouched(*args, **kwargs):
+            raise AssertionError("diagonal touched")
+        monkeypatch.setattr(cli, "load_diagonal", untouched)
+        monkeypatch.setattr(cli, "estimate_diagonal", untouched)
+        out_path = tmp_path / "ap.tsv"
+        for diag in (["--diag", star_diag], []):
+            code, out, err = run(capsys, ["query", "--graph", star_file,
+                                          "--c", "0.8", "--T", "40", *diag,
+                                          "allpairs", "--threshold", "nan",
+                                          "--out", str(out_path)])
+            assert code == 1 and out == ""
+            assert err.startswith("error: --threshold") and "nan" in err
+            assert not out_path.exists()
 
     def test_wrong_arity(self, capsys, star_file):
         code, _, err = run(capsys, ["query", "--graph", star_file, "pair", "1"])
@@ -168,36 +187,14 @@ class TestTopk:
         assert len(lines) == 2
         assert {line.split("\t")[0] for line in lines} == {"2", "3"}
 
-    def test_with_built_index(self, capsys, star_file, star_diag, tmp_path):
-        idx = str(tmp_path / "star.idx")
+
+    def test_mc_column(self, capsys, star_file, star_diag):
         code, out, _ = run(capsys, ["topk", "--graph", star_file,
                                     "--c", "0.8", "--T", "40",
-                                    "--diag", star_diag, "--index", idx,
-                                    "--build-index",
-                                    "--source", "1", "--k", "2"])
+                                    "--diag", star_diag, "--estimator", "mc",
+                                    "--R", "50", "--source", "1", "--k", "2"])
         assert code == 0
-        assert len(out.strip().splitlines()) == 2
-        # reuse the saved index
-        code, out2, _ = run(capsys, ["topk", "--graph", star_file,
-                                     "--c", "0.8", "--T", "40",
-                                     "--diag", star_diag, "--index", idx,
-                                     "--source", "1", "--k", "2"])
-        assert code == 0 and out2 == out
-
-    def test_loaded_index_must_match_graph_and_T(self, capsys, star_file,
-                                                 star_diag, tmp_path):
-        idx = str(tmp_path / "star.idx")
-        base = ["topk", "--c", "0.8", "--index", idx, "--source", "1",
-                "--k", "2"]
-        assert run(capsys, [*base, "--graph", star_file, "--T", "40",
-                            "--diag", star_diag, "--build-index"])[0] == 0
-        five = tmp_path / "five.txt"
-        five.write_text(STAR_EDGES + "4 0\n0 4\n")
-        for flags in (["--graph", star_file, "--T", "30", "--diag", star_diag],
-                      ["--graph", str(five), "--T", "40"]):
-            code, out, err = run(capsys, [*base, *flags])
-            assert code == 1 and out == ""
-            assert idx in err and "n=4, T=40" in err
+        assert [line.split("\t")[0] for line in out.splitlines()] == ["2", "3"]
 
 
 class TestJoin:
@@ -230,6 +227,19 @@ class TestOracleAndAccuracy:
         rows = out_path.read_text().splitlines()
         assert len(rows) == 16
         assert "1\t2\t0.800000" in rows
+
+    @pytest.mark.parametrize("text", [
+        STAR_EDGES, "".join(f"{u} {v}\n{v} {u}\n" for u, v in SEVEN_EDGES)],
+        ids=["star", "seven"])
+    def test_oracle_rows_match_the_per_entry_format(self, capsys, tmp_path,
+                                                     text):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, ["oracle", "--graph", str(path)])
+        S = sr.naive_simrank(sr.load_edge_list(text), sr.Config())
+        ref = "".join(f"{i}\t{j}\t{S[i, j]:.6f}\n"
+                      for i in range(len(S)) for j in range(len(S)))
+        assert code == 0 and out == ref
 
     def test_oracle_cap(self, capsys, star_file):
         code, _, err = run(capsys, ["oracle", "--graph", star_file,

@@ -106,18 +106,6 @@ class TestFilter:
             sr.gauss_southwell_filter(star, cfg08, D, 0.5, gamma_acc=1.0)
         with pytest.raises(ValueError, match="theta"):
             sr.gauss_southwell_filter(star, cfg08, D, 0.0)
-        with pytest.raises(ValueError, match="worklist"):
-            sr.gauss_southwell_filter(star, cfg08, D, 0.5, worklist="lifo")
-
-    def test_max_residual_worklist_agrees_on_result(self, join_suite):
-        cfg, suite = join_suite
-        g, D, S_true = suite[1]
-        for discipline in ("fifo", "max"):
-            store = sr.gauss_southwell_filter(g, cfg, D, theta=0.2,
-                                              worklist=discipline)
-            gap = S_true - store.dense_solution(g.n)
-            np.fill_diagonal(gap, 0.0)
-            assert gap.min() >= -1e-9 and gap.max() <= 0.2 + 1e-6
 
 
 class TestStochasticThreshold:

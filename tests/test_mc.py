@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simrank as sr
 from simrank import mc
-from simrank.mc import WalkBatch, meeting_time_samples
+from simrank.graph import walk_positions
+from simrank.mc import meeting_time_samples
 
 from conftest import make_graph
 
@@ -95,12 +98,47 @@ class TestMcSinglePair:
         assert est == pytest.approx(exact, abs=0.02)
 
 
-class TestWalkBatch:
-    def test_histogram_shapes(self, star_exact):
-        g, cfg, _ = star_exact
-        batch = WalkBatch.simulate(g, cfg, 1, 40, cfg.rng())
-        assert len(batch.positions) == cfg.T
-        assert batch.positions[0][1] == 40
+@st.composite
+def walk_cases(draw):
+    """A random digraph, a source on it, a walk count and a seed."""
+    n = draw(st.integers(1, 25))
+    m = draw(st.integers(0, min(n * (n - 1), 3 * n)))
+    g = make_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, m)
+    cfg = sr.Config(c=draw(st.floats(0.1, 0.9)), T=draw(st.integers(1, 12)))
+    return (g, cfg, draw(st.integers(0, n - 1)), draw(st.integers(1, 60)),
+            draw(st.integers(0, 10**6)))
+
+
+class TestMcSingleSource:
+    @settings(max_examples=100, deadline=None)
+    @given(case=walk_cases())
+    def test_equals_the_dense_series_on_its_walks(self, case):
+        g, cfg, u, R, seed = case
+        d = np.random.default_rng([seed, 1]).uniform(1 - cfg.c, 1.0, g.n)
+        D = sr.DiagonalCorrection(d)
+        got = sr.mc_single_source(g, cfg, D, u, R, np.random.default_rng(seed))
+        # the same walks, folded as sum_t c^t (P^T)^t D h_t / R with dense P
+        hists = walk_positions(g, u, cfg.T, R, np.random.default_rng(seed))
+        PT = g.dense_P().T
+        ref = np.zeros(g.n)
+        for t, h in enumerate(hists):
+            ref += cfg.c ** t * np.linalg.matrix_power(PT, t) @ (d * h / R)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_mean_over_seeds_approaches_the_truncated_row(self, random_graphs):
+        cfg = sr.Config(c=0.6, T=11)
+        g = random_graphs(1, 20, seed=8)[0]
+        D = sr.exact_diagonal(g, cfg)
+        row = sr.dense_truncated(g, cfg, D)[3]
+        mean = np.mean([sr.mc_single_source(g, cfg, D, 3, 100,
+                                            np.random.default_rng(s))
+                        for s in range(400)], axis=0)
+        assert np.max(np.abs(mean - row)) <= 2e-3
+
+    def test_rejects_no_walks(self, star_exact):
+        g, cfg, D = star_exact
+        with pytest.raises(ValueError, match="R must be >= 1"):
+            sr.mc_single_source(g, cfg, D, 1, 0, cfg.rng())
 
 
 class TestMeetingTimes:

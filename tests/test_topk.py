@@ -117,7 +117,8 @@ class TestGamma:
         d = np.random.default_rng(d_seed).uniform(1 - cfg.c, 1.0, g.n)
         D = diag.DiagonalCorrection(d)
         ref = np.vstack([vector_gamma(g, cfg, D, u) for u in range(g.n)])
-        table = sr.build_bounds_index(g, cfg, D).gamma
+        table = np.vstack([topk.gamma_table(g, cfg, D, ks)
+                           for ks in diag.source_blocks(g.n)])
         assert np.array_equal(table, ref)
         rows = np.vstack([sr.build_gamma(g, cfg, D, u) for u in range(g.n)])
         assert np.array_equal(rows, ref)
@@ -139,15 +140,6 @@ class TestGamma:
         for u in range(g.n):
             row = sr.build_gamma(g, cfg, D, u)
             assert np.all(row >= 0) and np.all(row <= 1 + 1e-12)
-
-    def test_mc_close_to_exact(self, bound_suite):
-        cfg, suite = bound_suite
-        g, D, _ = suite[0]
-        rng = np.random.default_rng(0)
-        for u in range(min(g.n, 5)):
-            exact = sr.build_gamma(g, cfg, D, u)
-            mc = sr.build_gamma(g, cfg, D, u, mode="mc", R=10000, rng=rng)
-            assert np.max(np.abs(mc - exact)) <= 0.05
 
 
 class TestAlphaBeta:
@@ -252,41 +244,6 @@ class TestCandidateIndex:
         assert cand[4] == set()
 
 
-class TestIndexPersistence:
-    def test_round_trip(self, tmp_path, star, cfg08):
-        D = sr.exact_diagonal(star, cfg08)
-        index = sr.build_bounds_index(star, cfg08, D, rng=cfg08.rng())
-        path = str(tmp_path / "star.idx")
-        sr.save_bounds_index(path, index)
-        loaded = sr.load_bounds_index(path)
-        assert np.array_equal(loaded.gamma, index.gamma)
-        assert loaded.candidates == index.candidates
-        assert loaded.params["T"] == cfg08.T
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "bogus"
-        path.write_bytes(b"not an index")
-        with pytest.raises(ValueError, match="bounds index"):
-            sr.load_bounds_index(str(path))
-
-    @pytest.mark.parametrize("cut", ["drop_last", "garble"])
-    def test_bad_candidate_file_names_file_and_line(self, tmp_path, star,
-                                                    cfg08, cut):
-        D = sr.exact_diagonal(star, cfg08)
-        path = tmp_path / "star.idx"
-        sr.save_bounds_index(str(path), sr.build_bounds_index(star, cfg08, D,
-                                                              rng=cfg08.rng()))
-        cand = tmp_path / "star.idx.cand"
-        lines = cand.read_text().splitlines()
-        if cut == "drop_last":
-            lines = lines[:-1]
-        else:
-            lines[2] = "2: 1 x"
-        cand.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"star\.idx\.cand:[34]: "):
-            sr.load_bounds_index(str(path))
-
-
 class TestTopkQuery:
     def test_star_leaf_query(self, star_exact):
         g, cfg, D = star_exact
@@ -308,7 +265,7 @@ class TestTopkQuery:
         D = sr.estimate_diagonal(g, cfg, sr.EstimationConfig(L=2))
         index = None
         if allowed is not None:
-            index = sr.BoundsIndex(np.zeros((g.n, T)), {u: allowed})
+            index = sr.BoundsIndex({u: allowed})
         got = sr.topk_query(g, cfg, D, index, u, k, theta_floor=theta_floor)
         # the rule holds exactly on the column the query scores ...
         col = sr.single_source(g, cfg, D, u)
@@ -337,6 +294,30 @@ class TestTopkQuery:
         assert got[0][1] == pytest.approx(0.6 ** 6, abs=1e-12)
         assert sr.brute_force_topk(g, cfg, 6, 1)[0][0] == 12
 
+    def test_mc_column_finds_the_far_twin(self):
+        """The Monte-Carlo path ranks a whole column too: it reaches 12 at
+        distance 12 > T and lists no zero-score vertex.  Every walk from 6
+        runs down its chain to the root, so the estimate is exact here."""
+        g = sr.Graph(13, TWO_CHAINS)
+        cfg = sr.Config(c=0.6, T=11)
+        D = sr.estimate_diagonal(g, cfg, sr.EstimationConfig(L=3))
+        got = sr.topk_query(g, cfg, D, None, 6, 3, adaptive=(10, 1000),
+                            rng=cfg.rng())
+        assert [v for v, _ in got] == [12]
+        assert got[0][1] == pytest.approx(0.6 ** 6, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=topk_cases(), R=st.integers(1, 50), seed=st.integers(0, 10**6))
+    def test_mc_path_ranks_the_walk_column(self, case, R, seed):
+        g, u, k, theta_floor, allowed = case
+        cfg = sr.Config(c=0.6, T=11)
+        D = sr.initial_guess(g, cfg)
+        index = None if allowed is None else sr.BoundsIndex({u: allowed})
+        got = sr.topk_query(g, cfg, D, index, u, k, theta_floor=theta_floor,
+                            adaptive=(1, R), rng=np.random.default_rng(seed))
+        col = sr.mc_single_source(g, cfg, D, u, R, np.random.default_rng(seed))
+        assert got == ranked_row(col, u, k, theta_floor, allowed)
+
     def test_matches_brute_force_when_separated(self, bound_suite):
         cfg, suite = bound_suite
         slack = cfg.c ** cfg.T / (1 - cfg.c)
@@ -355,6 +336,21 @@ class TestTopkQuery:
         index = sr.build_bounds_index(g, cfg, D, rng=cfg.rng())
         result = sr.topk_query(g, cfg, D, index, 1, 2)
         assert {v for v, _ in result} == {2, 3}
+
+    def test_index_keeps_results_among_candidates(self):
+        rng = np.random.default_rng(5)
+        g = make_graph(rng, 40, 120)
+        cfg = sr.Config(c=0.6, T=11)
+        D = sr.estimate_diagonal(g, cfg, sr.EstimationConfig(L=2))
+        index = sr.build_bounds_index(g, cfg, D, rng=cfg.rng())
+        listed = 0
+        for u in range(g.n):
+            for adaptive in (None, (10, 100)):
+                got = sr.topk_query(g, cfg, D, index, u, 5, adaptive=adaptive,
+                                    rng=np.random.default_rng(u))
+                assert {v for v, _ in got} <= index.candidates[u]
+                listed += len(got)
+        assert listed > 0
 
     def test_adaptive_mc_scoring_deterministic(self, star_exact):
         g, cfg, D = star_exact

@@ -18,7 +18,7 @@ import numpy as np
 from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
                    load_diagonal, residual_norm, save_diagonal)
 from .graph import Config, Graph, load_edge_list
-from .join import join
+from .join import check_join_args, join
 from .mc import mc_single_pair, mc_single_source
 from .oracle import naive_simrank
 from .query import (DEFAULT_OUTPUT_THRESHOLD, all_pairs, single_pair,
@@ -140,8 +140,11 @@ def cmd_topk(args) -> int:
 
 def cmd_join(args) -> int:
     g, cfg = _load_graph(args)
-    D = _diagonal(args, g, cfg)
+    if not np.isfinite(args.beta_skip):
+        raise ValueError(f"--beta-skip must be finite, got {args.beta_skip}")
     beta_skip = None if args.beta_skip <= 0 else args.beta_skip
+    check_join_args(args.theta, args.gamma, beta_skip, args.p)
+    D = _diagonal(args, g, cfg)
     result = join(g, cfg, D, args.theta, gamma_acc=args.gamma,
                   beta_skip=beta_skip, p=args.p, R_max=args.rmax,
                   rng=cfg.rng())

@@ -172,7 +172,9 @@ def estimate_diagonal(g: Graph, cfg: Config,
                       est_cfg: EstimationConfig) -> DiagonalCorrection:
     """L Gauss-Seidel sweeps over k = 0..n-1 from the initial guess."""
     D = initial_guess(g, cfg)
-    lo = 1.0 - cfg.c - est_cfg.clamp_slack
+    # never below 0: the true correction is at least 1 - c > 0, and
+    # load_diagonal and the join reject a negative one
+    lo = max(1.0 - cfg.c - est_cfg.clamp_slack, 0.0)
     hi = 1.0 + est_cfg.clamp_slack
 
     def update(k: int, a: float, b: float) -> None:
@@ -233,7 +235,8 @@ def save_diagonal(path, D: DiagonalCorrection) -> None:
 
 
 def load_diagonal(path) -> DiagonalCorrection:
-    """Read a save_diagonal file; a malformed one raises ValueError naming its line."""
+    """Read a save_diagonal file; a malformed one, or one holding a negative
+    or non-finite value, raises ValueError naming its line."""
     with open(path) as fh:
         header = fh.readline().strip()
         fields = header.split()
@@ -259,6 +262,12 @@ def load_diagonal(path) -> DiagonalCorrection:
             except ValueError:
                 raise ValueError(
                     f"{path}:{k + 2}: expected a number, got {line.strip()!r}") from None
+            # the true correction lies in [1-c, 1]; the join's soundness
+            # proof needs D >= 0
+            if not 0.0 <= values[k] < np.inf:
+                raise ValueError(
+                    f"{path}:{k + 2}: diagonal values must be finite and "
+                    f"non-negative, got {line.strip()!r}")
     return DiagonalCorrection(values, params=typed)
 
 

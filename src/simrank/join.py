@@ -1,19 +1,24 @@
 """Threshold similarity join.
 
-A Gauss-Southwell residual filter solves S = c P^T S P + D entrywise to
-accuracy (1-c)(1-gamma_acc) theta, producing a lower set J_L (certain members)
-and an upper set J_H (possible members, S-tilde > 0 at gamma_acc = 0).  Pairs
-in J_H minus J_L go through one batched Monte-Carlo verification.  Optional
-stochastic thresholding drops tiny residual allocations to bound memory, with
-an exponential tail on the total mass dropped per entry.
+A residual filter solves S = c P^T S P + D to accuracy
+(1-c)(1-gamma_acc) theta in rounds of sparse matrix products, the
+matrix-based iteration of Yu et al. applied to the residual system: every
+round moves all residual entries that reach the tolerance into the solution
+S-tilde at once and spreads c P^T R_sel P of them back into the residual
+R-tilde.  It yields a lower set J_L (certain members) and an upper set J_H
+(possible members, S-tilde > 0 at gamma_acc = 0).  Pairs in J_H minus J_L
+go through one batched Monte-Carlo verification.  Optional stochastic
+thresholding drops small fresh residual entries to bound memory, with an
+exponential tail on the total mass dropped per entry.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .diag import DiagonalCorrection
 from .graph import Config, Graph
@@ -24,67 +29,58 @@ DEFAULT_BETA_SKIP = 100.0
 
 
 class MemoryCapExceeded(RuntimeError):
-    """Raised when the residual store outgrows the entry cap; stats attached."""
+    """Raised when the filter outgrows the entry cap; stats attached."""
 
     def __init__(self, message: str, stats: dict):
         super().__init__(message)
         self.stats = stats
 
 
+def check_join_args(theta: float, gamma_acc: float = 0.0,
+                    beta_skip: float | None = None, p: float = 0.01) -> None:
+    """Raise ValueError naming the first join argument that is out of range.
+
+    Every comparison is written so that nan fails it: theta must be finite
+    and positive, gamma_acc in [0, 1), beta_skip (when set) finite and
+    positive, and p in (0, 1).
+    """
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
+    if not 0.0 <= gamma_acc < 1.0:
+        raise ValueError(f"gamma_acc must be in [0,1), got {gamma_acc}")
+    if beta_skip is not None and not 0.0 < beta_skip < math.inf:
+        raise ValueError(
+            f"beta_skip must be positive and finite, got {beta_skip}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0,1), got {p}")
+
+
+def allocation_draw(a, beta_skip: float, rng: np.random.Generator):
+    """Whether fresh entries receiving masses a get allocated.
+
+    Each is allocated with probability min(1, beta_skip * a), one uniform draw
+    per entry; a skipped entry drops its mass.  Over draws on masses summing
+    to A, all skipped with probability at most exp(-beta_skip * A), so the
+    dropped total at one entry exceeds delta with probability at most
+    exp(-beta_skip * delta).  The single rule of both the filter's rounds
+    and stochastic_threshold.
+    """
+    # a uniform draw in [0, 1) is below min(1, x) exactly when it is below x
+    return rng.random(np.shape(a)) < beta_skip * np.asarray(a)
+
+
 @dataclass
 class ResidualStore:
-    """Sparse symmetric state of the filter, stored on unordered pairs i <= j.
+    """Residuals on unordered pairs i <= j, fed one push at a time.
 
-    residuals holds R-tilde, solution holds S-tilde; a key present in
-    residuals counts as allocated for thresholding purposes even after its
-    value is drained to zero.  The worklist is a FIFO queue with lazy
-    deletion: popped keys are revalidated against eps.
+    The one-push form of the filter's allocation rule, for checking its tail
+    entry by entry through stochastic_threshold; the filter itself works on
+    sparse matrices.  A key present in residuals counts as allocated.
     """
 
     eps: float
     residuals: dict[tuple[int, int], float] = field(default_factory=dict)
-    solution: dict[tuple[int, int], float] = field(default_factory=dict)
-    stats: dict = field(default_factory=lambda: {
-        "relaxations": 0, "pushes": 0, "allocations": 0, "skips": 0,
-        "max_entries": 0, "total_pushed": 0.0})
-    _fifo: deque = field(default_factory=deque)
-    _queued: set = field(default_factory=set)
-
-    def enqueue(self, key: tuple[int, int]) -> None:
-        if key in self._queued:
-            return
-        self._queued.add(key)
-        self._fifo.append(key)
-
-    def pop(self) -> tuple[int, int] | None:
-        """Next key with |residual| >= eps, or None when the worklist drains."""
-        while self._fifo:
-            key = self._fifo.popleft()
-            self._queued.discard(key)
-            if abs(self.residuals.get(key, 0.0)) >= self.eps:
-                return key
-        return None
-
-    def accumulate(self, key: tuple[int, int], a: float) -> None:
-        self.residuals[key] = self.residuals.get(key, 0.0) + a
-        self.stats["max_entries"] = max(self.stats["max_entries"],
-                                        len(self.residuals))
-        if abs(self.residuals[key]) >= self.eps:
-            self.enqueue(key)
-
-    def dense_solution(self, n: int) -> np.ndarray:
-        S = np.zeros((n, n))
-        for (i, j), v in self.solution.items():
-            S[i, j] = v
-            S[j, i] = v
-        return S
-
-    def dense_residual(self, n: int) -> np.ndarray:
-        R = np.zeros((n, n))
-        for (i, j), v in self.residuals.items():
-            R[i, j] = v
-            R[j, i] = v
-        return R
+    stats: dict = field(default_factory=lambda: {"allocations": 0, "skips": 0})
 
 
 def stochastic_threshold(store: ResidualStore, i: int, j: int, a: float,
@@ -93,94 +89,196 @@ def stochastic_threshold(store: ResidualStore, i: int, j: int, a: float,
     """Route mass a toward entry (i, j), possibly skipping the allocation.
 
     An already-allocated entry always accumulates.  A fresh entry is allocated
-    with probability min(1, beta_skip * a); on a skip the mass is dropped.
-    Over a stream of values summing to A, the dropped total exceeds delta with
-    probability at most exp(-beta_skip * delta).
+    by allocation_draw; on a skip the mass is dropped.
     """
     if a < 0:
         raise ValueError(f"pushed mass must be non-negative, got {a}")
     key = (i, j) if i <= j else (j, i)
     if key in store.residuals:
-        store.accumulate(key, a)
+        store.residuals[key] += a
         return True
-    if rng.random() < min(1.0, beta_skip * a):
+    if allocation_draw(a, beta_skip, rng):
         store.stats["allocations"] += 1
-        store.accumulate(key, a)
+        store.residuals[key] = a
         return True
     store.stats["skips"] += 1
     return False
+
+
+def _rows(A: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of CSR matrix A."""
+    return np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype),
+                     np.diff(A.indptr))
+
+
+def _select(A: sp.csr_matrix, rows: np.ndarray,
+            mask: np.ndarray) -> sp.csr_matrix:
+    """The stored entries of CSR matrix A where mask holds; rows = _rows(A)."""
+    indptr = np.zeros(A.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[mask], minlength=A.shape[0]), out=indptr[1:])
+    return sp.csr_matrix((A.data[mask], A.indices[mask], indptr),
+                         shape=A.shape)
+
+
+def _drop(A: sp.csr_matrix, mask: np.ndarray) -> None:
+    """Remove the stored entries of CSR matrix A where mask holds, in place.
+
+    Stored zeros go too; in the filter every entry that carries mass is
+    positive.
+    """
+    A.data[mask] = 0.0
+    A.eliminate_zeros()
+
+
+def _symmetric(U: sp.csr_matrix) -> sp.csr_matrix:
+    """The symmetric matrix whose upper triangle is U."""
+    return (U + sp.triu(U, k=1).T).tocsr()
+
+
+def _upper(A: sp.csr_matrix) -> sp.csr_matrix:
+    """The upper triangle (i <= j) of CSR matrix A, as a new CSR matrix."""
+    rows = _rows(A)
+    return _select(A, rows, A.indices >= rows)
+
+
+def _keys(A: sp.csr_matrix) -> np.ndarray:
+    """Row-major linear index of each stored entry of A, ascending when A
+    has sorted indices."""
+    return _rows(A).astype(np.int64) * A.shape[1] + A.indices
+
+
+def _fresh(Q: sp.csr_matrix, R: sp.csr_matrix,
+           S: sp.csr_matrix) -> np.ndarray:
+    """Mask of the stored entries of Q outside the supports of R and S.
+
+    All three have sorted indices, and S is not empty.
+    """
+    held = _keys(R + S)
+    q = _keys(Q)
+    return held[np.minimum(np.searchsorted(held, q), len(held) - 1)] != q
+
+
+def _spread(g: Graph, cfg: Config, R_sel: sp.csr_matrix, R: sp.csr_matrix,
+            S: sp.csr_matrix, beta_skip: float | None,
+            rng: np.random.Generator | None, stats: dict) -> sp.csr_matrix:
+    """The upper triangle of c P^T R_sel P, R_sel given by its upper triangle.
+
+    With beta_skip set, the entries outside the supports of R and S go
+    through allocation_draw and the skipped ones are dropped.  A function of
+    its own so that the full product and its masks are freed when it
+    returns: the full product is the largest array of a round.
+    """
+    Q = g.PT @ (_symmetric(R_sel) @ g.P)
+    Q.sort_indices()
+    Q = _upper(Q)
+    Q.data *= cfg.c
+    stats["pushes"] += Q.nnz
+    if beta_skip is not None:
+        fresh = _fresh(Q, R, S)
+        kept = allocation_draw(Q.data[fresh], beta_skip, rng)
+        stats["allocations"] += int(kept.sum())
+        stats["skips"] += int(kept.size - kept.sum())
+        fresh[fresh] = ~kept
+        _drop(Q, fresh)
+    return Q
+
+
+@dataclass
+class FilterResult:
+    """Upper triangles (i <= j) of S-tilde and R-tilde when the filter stops.
+
+    S and R are CSR; every stored value is non-negative.  eps is the
+    tolerance the filter ran to, stats its counters.
+    """
+
+    eps: float
+    S: sp.csr_matrix
+    R: sp.csr_matrix
+    stats: dict
+
+    @property
+    def solution(self) -> dict[tuple[int, int], float]:
+        """S-tilde as {(i, j): value} over its stored entries, i <= j; built
+        on each access."""
+        return dict(zip(zip(_rows(self.S).tolist(), self.S.indices.tolist()),
+                        self.S.data.tolist()))
+
+    def dense_solution(self, n: int) -> np.ndarray:
+        """S-tilde as a dense symmetric n x n array, n the vertex count."""
+        return _symmetric(self.S).toarray()
+
+    def dense_residual(self, n: int) -> np.ndarray:
+        """R-tilde as a dense symmetric n x n array, n the vertex count."""
+        return _symmetric(self.R).toarray()
 
 
 def gauss_southwell_filter(g: Graph, cfg: Config, D: DiagonalCorrection,
                            theta: float, gamma_acc: float = 0.0,
                            beta_skip: float | None = None,
                            rng: np.random.Generator | None = None,
-                           max_entries: int = DEFAULT_MAX_ENTRIES) -> ResidualStore:
+                           max_entries: int = DEFAULT_MAX_ENTRIES) -> FilterResult:
     """Run the residual filter to tolerance eps = (1-c)(1-gamma_acc) theta.
 
-    Starts from S-tilde = 0, R-tilde = D and repeatedly relaxes a pair whose
-    residual reaches eps: the residual moves into the solution and c times it
-    spreads to the out-neighbor pairs, i.e. all (a, b) with i in I(a), j in
-    I(b), each weighted 1/(|I(a)||I(b)|).  With beta_skip set, every push
-    passes through stochastic_threshold.  Only unordered pairs are stored; a
-    relaxation of an off-diagonal pair stands for both mirror entries, which
-    is why a push landing on the diagonal from one carries double weight.
+    Starts from S-tilde = 0, R-tilde = D and works in rounds.  A round takes
+    every entry with R-tilde >= eps as R_sel, sets S-tilde += R_sel and
+    R-tilde <- R-tilde - R_sel + c P^T R_sel P (entry (a, b) of the product
+    gathers R_sel[i, j] / (|I(a)||I(b)|) over i in I(a), j in I(b)), and the
+    filter stops when no entry reaches eps.  Both matrices are symmetric
+    and only their upper triangles are stored; the product is taken of the
+    full R_sel and cut back to its upper triangle.
+
+    With beta_skip set, the product's fresh entries, those outside the
+    supports of R-tilde and S-tilde, pass through allocation_draw once per
+    round on the round's mass for the entry.  With D >= 0 no stored entry
+    cancels to zero, so the two supports are the allocated entries.
+
+    The name is that of the Gauss-Southwell relaxation this filter started
+    as; it is kept because callers and the acceptance criteria use it.
+    Counters, each summed over rounds: ``rounds``; ``relaxations``, the
+    entries of the full matrix moved into S-tilde (an off-diagonal stored
+    entry stands for two); ``total_pushed``, the mass they carried;
+    ``pushes``, the stored entries of each product; ``allocations`` and
+    ``skips``, its fresh entries kept and dropped; and ``max_entries``, the
+    most entries of R-tilde and S-tilde stored at once.  More than
+    max_entries stored raises MemoryCapExceeded.
     """
-    if not 0.0 <= gamma_acc < 1.0:
-        raise ValueError(f"gamma_acc must be in [0,1), got {gamma_acc}")
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if beta_skip is not None and beta_skip <= 0:
-        raise ValueError(f"beta_skip must be positive, got {beta_skip}")
+    check_join_args(theta, gamma_acc, beta_skip)
+    dvals = D.as_array()
+    bad = ~(np.isfinite(dvals) & (dvals >= 0.0))
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"diagonal must be finite and non-negative, "
+                         f"got {dvals[k]} at vertex {k}")
     if beta_skip is not None and rng is None:
         rng = cfg.rng()
 
     eps = (1.0 - cfg.c) * (1.0 - gamma_acc) * theta
-    store = ResidualStore(eps=eps)
-    dvals = D.as_array()
-    for k in range(g.n):
-        if dvals[k] != 0.0:
-            store.accumulate((k, k), float(dvals[k]))
-
-    out = g.out_index
-    in_deg = g.in_degree
-
-    def push(a: int, b: int, w: float) -> None:
-        store.stats["pushes"] += 1
-        if beta_skip is None:
-            key = (a, b) if a <= b else (b, a)
-            store.accumulate(key, w)
-        else:
-            stochastic_threshold(store, a, b, w, beta_skip, rng)
-
+    n = g.n
+    ks = np.flatnonzero(dvals)
+    R = sp.csr_matrix((dvals[ks], (ks, ks)), shape=(n, n))
+    S = sp.csr_matrix((n, n))
+    stats = {"rounds": 0, "relaxations": 0, "pushes": 0, "allocations": 0,
+             "skips": 0, "max_entries": R.nnz, "total_pushed": 0.0}
     while True:
-        key = store.pop()
-        if key is None:
+        rows = _rows(R)
+        # R-tilde >= 0 throughout, since D >= 0 and P >= 0
+        sel = R.data >= eps
+        if not sel.any():
             break
-        i, j = key
-        r = store.residuals[key]
-        store.solution[key] = store.solution.get(key, 0.0) + r
-        store.residuals[key] = 0.0
-        if i == j:
-            store.stats["relaxations"] += 1
-            store.stats["total_pushed"] += abs(r)
-            for ai, a in enumerate(out[i]):
-                wa = cfg.c * r / in_deg[a]
-                for b in out[i][ai:]:
-                    push(a, b, wa / in_deg[b])
-        else:
-            # one unordered pop covers both mirror entries
-            store.stats["relaxations"] += 2
-            store.stats["total_pushed"] += 2 * abs(r)
-            for a in out[i]:
-                wa = cfg.c * r / in_deg[a]
-                for b in out[j]:
-                    w = wa / in_deg[b]
-                    push(a, b, 2.0 * w if a == b else w)
-        if len(store.residuals) > max_entries:
+        R_sel = _select(R, rows, sel)
+        _drop(R, sel)
+        S = S + R_sel
+        off = rows[sel] != R_sel.indices
+        stats["rounds"] += 1
+        stats["relaxations"] += int(sel.sum() + off.sum())
+        stats["total_pushed"] += float(R_sel.data.sum() + R_sel.data[off].sum())
+        R = R + _spread(g, cfg, R_sel, R, S, beta_skip, rng, stats)
+        entries = R.nnz + S.nnz
+        stats["max_entries"] = max(stats["max_entries"], entries)
+        if entries > max_entries:
             raise MemoryCapExceeded(
-                f"residual store exceeded {max_entries} entries", store.stats)
-    return store
+                f"filter exceeded {max_entries} stored entries", stats)
+    return FilterResult(eps, S, R, stats)
 
 
 @dataclass
@@ -195,6 +293,14 @@ class JoinResult:
         return self.J_L | self.verified
 
 
+def _pairs(A: sp.csr_matrix, keep: np.ndarray) -> set[tuple[int, int]]:
+    """Off-diagonal (i, j), i < j, of the upper-triangular CSR A where keep
+    holds for its stored value."""
+    rows = _rows(A)
+    mask = keep & (rows < A.indices)
+    return set(zip(rows[mask].tolist(), A.indices[mask].tolist()))
+
+
 def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
          gamma_acc: float = 0.0, beta_skip: float | None = None,
          p: float = 0.01, R_max: int = 1000,
@@ -202,41 +308,49 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
          max_entries: int = DEFAULT_MAX_ENTRIES) -> JoinResult:
     """All unordered vertex pairs with similarity >= theta (whp).
 
-    J_L holds the off-diagonal pairs with S-tilde >= theta, reported as-is.
-    J_H holds those with S-tilde >= gamma_acc * theta, or S-tilde > 0 when
-    gamma_acc = 0.  J_H is sound: with D >= 0 the filter only moves non-negative
-    residual mass into S-tilde, and at termination every residual is below
-    eps = (1-c)(1-gamma_acc) theta.  Since P is column-substochastic, each
-    entry of P^{Tt} R P^t is below eps too, so
-    S - S-tilde = sum_t c^t P^{Tt} R P^t < eps / (1-c) = (1-gamma_acc) theta,
-    and S >= theta implies S-tilde > gamma_acc * theta (> 0 at gamma_acc = 0).
-    This is exact with thresholding off.  With beta_skip set, a skipped
-    allocation drops its mass, so the statement holds with high probability:
-    per entry the dropped total exceeds delta with probability at most
-    exp(-beta_skip * delta), the tail of stochastic_threshold that acceptance
-    criterion 10 checks.
+    J_L holds the off-diagonal pairs with S-tilde + R-tilde >= theta,
+    reported as-is.  J_H holds those with S-tilde >= gamma_acc * theta, or
+    S-tilde > 0 when gamma_acc = 0.  Both read the filter's state when it
+    stops, with D >= 0 (the filter rejects any other D) and eps =
+    (1-c)(1-gamma_acc) theta.
+
+    Invariant: S = c P^T S P + D and S-tilde = c P^T S-tilde P + D - R-tilde
+    - X, where X >= 0 is the mass thresholding dropped (0 with it off), so
+    S - S-tilde = sum_t c^t P^{Tt} (R-tilde + X) P^t.  Every term is
+    non-negative, as D >= 0 makes every residual and every pushed mass
+    non-negative.
+
+    J_L is sound, with or without thresholding: the t = 0 term alone gives
+    S - S-tilde >= R-tilde, so S >= S-tilde + R-tilde >= theta.
+
+    J_H is complete with thresholding off: at termination every residual is
+    below eps, and P is column-substochastic, so each entry of
+    P^{Tt} R-tilde P^t is below eps too and S - S-tilde < eps / (1-c) =
+    (1-gamma_acc) theta.  S >= theta then implies S-tilde > gamma_acc *
+    theta, which is S-tilde > 0 at gamma_acc = 0.  With beta_skip set, the
+    dropped mass X adds to the gap, so completeness holds with high
+    probability: per entry the dropped total exceeds delta with probability
+    at most exp(-beta_skip * delta), the tail of allocation_draw that
+    acceptance criterion 10 checks.
+
+    J_L is inside J_H: R-tilde < eps at termination, so a pair of J_L has
+    S-tilde > theta - eps = theta (c + gamma_acc - c gamma_acc) >=
+    gamma_acc * theta, and S-tilde > 0.
 
     Pairs in J_H minus J_L are resolved by one verify_pairs call on rng in
     sorted order, and accepted when the estimate lands on the similar side at
     stopping.  Deterministic under a fixed seed.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0,1), got {p}")
+    check_join_args(theta, gamma_acc, beta_skip, p)
     if rng is None:
         rng = cfg.rng()
-    store = gauss_southwell_filter(g, cfg, D, theta, gamma_acc, beta_skip,
-                                   rng, max_entries)
-    J_L, J_H = set(), set()
-    cut = gamma_acc * theta
-    for key, value in store.solution.items():
-        if key[0] == key[1]:
-            continue
-        # with D >= 0 every stored entry was relaxed with a residual >= eps,
-        # so at cut = 0 this keeps exactly the support of S-tilde
-        if value >= cut:
-            J_H.add(key)
-            if value >= theta:
-                J_L.add(key)
+    filt = gauss_southwell_filter(g, cfg, D, theta, gamma_acc, beta_skip,
+                                  rng, max_entries)
+    held = filt.S + filt.R
+    J_L = _pairs(held, held.data >= theta)
+    # every stored entry of S-tilde was relaxed with a residual >= eps > 0,
+    # so at gamma_acc = 0 this keeps exactly its support
+    J_H = _pairs(filt.S, filt.S.data >= gamma_acc * theta)
 
     uncertain = sorted(J_H - J_L)
     checked = (verify_pairs(g, cfg, uncertain, theta, p, R_max, rng)
@@ -244,7 +358,7 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
     verified = {pair for pair, res in zip(uncertain, checked)
                 if res.side == "similar"}
 
-    stats = dict(store.stats)
+    stats = dict(filt.stats)
     stats.update({"J_L": len(J_L), "J_H": len(J_H),
                   "verified": len(verified),
                   "samples": sum(res.samples_used for res in checked)})

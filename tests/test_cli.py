@@ -208,6 +208,40 @@ class TestJoin:
         assert all(line.endswith(("filter", "verified")) for line in lines)
         assert err.startswith("{")  # stats summary on the side channel
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--theta", "nan", "theta"), ("--theta", "inf", "theta"),
+        ("--gamma", "nan", "gamma"), ("--p", "nan", "p"),
+        ("--beta-skip", "nan", "beta-skip"),
+    ])
+    def test_non_finite_argument_rejected_before_the_diagonal(
+            self, capsys, monkeypatch, star_file, star_diag, flag, value,
+            name):
+        def untouched(*args, **kwargs):
+            raise AssertionError("diagonal touched")
+        monkeypatch.setattr(cli, "load_diagonal", untouched)
+        monkeypatch.setattr(cli, "estimate_diagonal", untouched)
+        for diag in (["--diag", star_diag], []):
+            code, out, err = run(capsys, ["join", "--graph", star_file,
+                                          "--c", "0.8", "--T", "40", *diag,
+                                          flag, value])
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and name in err and value in err
+
+    def test_negative_diagonal_entry_rejected(self, capsys, monkeypatch,
+                                              star_file, star_diag, tmp_path):
+        def untouched(*args, **kwargs):
+            raise AssertionError("diagonal estimated")
+        monkeypatch.setattr(cli, "estimate_diagonal", untouched)
+        header, *values = (tmp_path / "star.diag").read_text().splitlines()
+        values[1] = "-0.5"
+        bad = tmp_path / "negative.diag"
+        bad.write_text("\n".join([header, *values]) + "\n")
+        code, out, err = run(capsys, ["join", "--graph", star_file,
+                                      "--c", "0.8", "--T", "40",
+                                      "--diag", str(bad), "--beta-skip", "0"])
+        assert code == 1 and out == ""
+        assert f"{bad}:3:" in err and "-0.5" in err
+
 
 class TestOracleAndAccuracy:
     def test_pipeline(self, capsys, star_file, star_diag, tmp_path):

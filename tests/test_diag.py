@@ -285,6 +285,18 @@ class TestMcEstimation:
         D3 = sr.estimate_diagonal(g, sr.Config(c=0.6, seed=43), est)
         assert not np.array_equal(D1.values, D3.values)
 
+    def test_high_c_estimate_stays_loadable(self, tmp_path):
+        # at c = 0.98 the MC clamp floor 1 - c - 0.05 is below 0, and few
+        # walks put updates there; the true correction is at least 1 - c
+        g = make_graph(np.random.default_rng(5), 30, 90)
+        D = sr.estimate_diagonal(g, sr.Config(c=0.98, T=40, seed=1),
+                                 EstimationConfig(L=2, R=4, mode="mc"))
+        assert D.clamped > 0
+        assert D.values.min() >= 0.0
+        path = tmp_path / "high-c.diag"
+        sr.save_diagonal(path, D)
+        assert np.array_equal(sr.load_diagonal(path).values, D.values)
+
 
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path, star, cfg08):
@@ -315,6 +327,9 @@ class TestPersistence:
         ("4", "0.5\n0.2\nnan?\n0.2\n", 4),    # garbled value
         ("4", "0.5\n\n0.2\n0.2\n", 3),        # blank value line
         ("-4", "", 1),                        # garbled header
+        ("4", "0.5\n-0.5\n0.2\n0.2\n", 3),   # negative value
+        ("4", "0.5\n0.2\nnan\n0.2\n", 4),    # not a number
+        ("4", "inf\n0.2\n0.2\n0.2\n", 2),    # infinite value
     ])
     def test_bad_lines_name_file_and_line(self, tmp_path, n, body, line):
         path = tmp_path / "cut.diag"

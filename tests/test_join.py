@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import simrank as sr
 from simrank.diag import DiagonalCorrection
-from simrank.join import MemoryCapExceeded, ResidualStore
+from simrank.join import MemoryCapExceeded, ResidualStore, allocation_draw
 
 from conftest import make_graph
 
@@ -106,6 +106,17 @@ class TestFilter:
             sr.gauss_southwell_filter(star, cfg08, D, 0.5, gamma_acc=1.0)
         with pytest.raises(ValueError, match="theta"):
             sr.gauss_southwell_filter(star, cfg08, D, 0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="theta"):
+                sr.gauss_southwell_filter(star, cfg08, D, bad)
+            with pytest.raises(ValueError, match="beta_skip"):
+                sr.gauss_southwell_filter(star, cfg08, D, 0.5, beta_skip=bad)
+        for value in (-0.05, np.nan):
+            values = D.values.copy()
+            values[2] = value
+            with pytest.raises(ValueError, match="diagonal.*vertex 2"):
+                sr.gauss_southwell_filter(star, cfg08,
+                                          DiagonalCorrection(values), 0.5)
 
 
 class TestStochasticThreshold:
@@ -126,6 +137,16 @@ class TestStochasticThreshold:
         with pytest.raises(ValueError):
             sr.stochastic_threshold(ResidualStore(eps=1.0), 0, 1, -0.1, 100.0,
                                     np.random.default_rng(0))
+
+    def test_one_push_rule_is_the_vectorized_draw(self):
+        masses = np.array([0.0, 1e-4, 0.003, 0.009, 0.02, 0.5])
+        kept = allocation_draw(masses, 100.0, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        one_by_one = [sr.stochastic_threshold(ResidualStore(eps=1.0), 0, 1,
+                                              float(a), 100.0, rng)
+                      for a in masses]
+        assert kept.tolist() == one_by_one
+        assert kept[-2:].all() and not kept[0]
 
     def test_dropped_mass_tail(self):
         # stream of 50 pushes of 0.002 to one entry; the dropped prefix
@@ -203,16 +224,58 @@ def small_digraphs(draw):
                       n, m)
 
 
+# the oracle iterates from S = I, so it sits below the converged scores by
+# about c^200 / (1 - c), near 7e-9 at c = 0.9
+ORACLE_TOL = 1e-8
+
+
 class TestZeroGammaUpperSet:
+    """The filter sandwich and both join sets against the oracle, thresholding
+    off, for any accuracy split; at gamma = 0 J_H is the filter's support."""
+
     @settings(max_examples=60, deadline=None)
     @given(g=small_digraphs(), c=st.floats(0.2, 0.9),
-           theta=st.floats(0.02, 0.9))
-    def test_support_of_filter_holds_the_join(self, g, c, theta):
+           theta=st.floats(0.02, 0.9),
+           gamma=st.one_of(st.just(0.0),
+                           st.floats(0.0, 0.9, exclude_max=True)))
+    def test_support_of_filter_holds_the_join(self, g, c, theta, gamma):
         cfg = sr.Config(c=c, T=11)
         D = sr.exact_diagonal(g, cfg)
-        res = sr.join(g, cfg, D, theta, gamma_acc=0.0, R_max=64)
-        store = sr.gauss_southwell_filter(g, cfg, D, theta, 0.0)
-        support = {k for k, v in store.solution.items()
-                   if k[0] < k[1] and v > 0.0}
-        assert res.J_H == support
+        S = sr.naive_simrank(g, cfg)
+        res = sr.join(g, cfg, D, theta, gamma_acc=gamma, R_max=64)
+        store = sr.gauss_southwell_filter(g, cfg, D, theta, gamma)
+        off = ~np.eye(g.n, dtype=bool)
+        gap = (S - store.dense_solution(g.n))[off]
+        assert gap.min() >= -ORACLE_TOL
+        assert gap.max() < (1 - gamma) * theta + ORACLE_TOL
+        # the residual itself is certain: S >= S-tilde + R-tilde
+        assert (gap - store.dense_residual(g.n)[off]).min() >= -ORACLE_TOL
+        upper = {k for k, v in store.solution.items()
+                 if k[0] < k[1] and v >= gamma * theta}
+        assert res.J_H == upper
+        if gamma == 0.0:
+            assert upper == {k for k, v in store.solution.items()
+                             if k[0] < k[1] and v > 0.0}
+        assert res.J_L <= sr.brute_force_join(g, cfg, theta - 1e-9)
         assert sr.brute_force_join(g, cfg, theta + 1e-9) <= res.J_H
+
+
+class TestThresholdedFilter:
+    @settings(max_examples=40, deadline=None)
+    @given(g=small_digraphs(), c=st.floats(0.2, 0.9),
+           theta=st.floats(0.02, 0.9), gamma=st.floats(0.0, 0.9),
+           beta=st.floats(1.0, 1000.0), seed=st.integers(0, 2**32 - 1))
+    def test_dropped_mass_keeps_the_lower_set_sound(self, g, c, theta, gamma,
+                                                    beta, seed):
+        """Skipped allocations only lower S-tilde + R-tilde, so it stays
+        below S and J_L stays inside the join."""
+        cfg = sr.Config(c=c, T=11)
+        D = sr.exact_diagonal(g, cfg)
+        S = sr.naive_simrank(g, cfg)
+        store = sr.gauss_southwell_filter(g, cfg, D, theta, gamma, beta,
+                                          np.random.default_rng(seed))
+        held = store.dense_solution(g.n) + store.dense_residual(g.n)
+        assert (held <= S + ORACLE_TOL).all()
+        res = sr.join(g, cfg, D, theta, gamma, beta, R_max=64,
+                      rng=np.random.default_rng(seed))
+        assert res.J_L <= sr.brute_force_join(g, cfg, theta - 1e-9)

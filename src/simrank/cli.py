@@ -4,11 +4,17 @@ Subcommands: estimate-diag, query (pair | source | allpairs), topk, join,
 oracle, accuracy.  All randomness flows from --seed (default 0, never
 entropy), so rerunning a command with identical flags reproduces its output
 byte for byte.  Exit codes: 0 success, 1 runtime failure, 2 usage error.
+
+main builds the argument parser once per process, on its first call, and
+reuses it for every later call: parse_args keeps no state in the parser, so
+no flag carries over from one call to the next.  Subcommand "x-y" runs
+cmd_x_y.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -143,7 +149,7 @@ def cmd_join(args) -> int:
     if not np.isfinite(args.beta_skip):
         raise ValueError(f"--beta-skip must be finite, got {args.beta_skip}")
     beta_skip = None if args.beta_skip <= 0 else args.beta_skip
-    check_join_args(args.theta, args.gamma, beta_skip, args.p)
+    check_join_args(args.theta, args.gamma, beta_skip, args.p, args.rmax)
     D = _diagonal(args, g, cfg)
     result = join(g, cfg, D, args.theta, gamma_acc=args.gamma,
                   beta_skip=beta_skip, p=args.p, R_max=args.rmax,
@@ -211,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=int, default=100, help="walks per estimate (mc mode)")
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--out", required=True, help="output diagonal file")
-    p.set_defaults(func=cmd_estimate_diag)
 
     p = sub.add_parser("query", help="similarity scores for pairs or sources")
     _add_common(p)
@@ -224,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (allpairs)")
     p.add_argument("--threshold", type=float, default=DEFAULT_OUTPUT_THRESHOLD,
                    help="allpairs emission threshold")
-    p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("topk", help="top-k most similar vertices")
     _add_common(p)
@@ -235,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=("exact", "mc"), default="exact")
     p.add_argument("--R", type=int, default=100,
                    help="walks for the mc column")
-    p.set_defaults(func=cmd_topk)
 
     p = sub.add_parser("join", help="all pairs above a similarity threshold")
     _add_common(p)
@@ -252,28 +255,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verification sample cap")
     p.add_argument("--diag", help="diagonal file (default: exact estimate)")
     p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(func=cmd_join)
 
     p = sub.add_parser("oracle", help="converged scores by fixed-point iteration")
     _add_common(p)
     p.add_argument("--cap", type=int, default=5000, help="vertex cap")
     p.add_argument("--out", help="output file (default stdout)")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("accuracy", help="mean error of a score file vs the oracle")
     _add_common(p)
     p.add_argument("--scores", required=True,
                    help="TSV 'i<TAB>j<TAB>score'; missing entries count as 0")
     p.add_argument("--cap", type=int, default=5000, help="oracle vertex cap")
-    p.set_defaults(func=cmd_accuracy)
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The build_parser tree of this process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on each call, so that a rebinding of a cmd_* function (a
+    # test's stub, a tracer's span) reaches the parser built once
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except BrokenPipeError:
         return 1
     except Exception as exc:  # runtime failure -> exit 1 with a message

@@ -223,20 +223,25 @@ def _params(cfg: Config, est_cfg: EstimationConfig | None, mode: str) -> dict:
 
 
 def save_diagonal(path, D: DiagonalCorrection) -> None:
+    """Write D as a header line and one %.17g value per line."""
     p = D.params
     header = ("simrank-diag v1 n={n} c={c} T={T} L={L} R={R} "
               "mode={mode} seed={seed}").format(
         n=len(D.values), c=p.get("c"), T=p.get("T"), L=p.get("L"),
         R=p.get("R"), mode=p.get("mode"), seed=p.get("seed"))
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for v in D.values:
-            fh.write(f"{v:.17g}\n")
+        fh.write(header + "\n"
+                 + "".join(map("{:.17g}\n".format, D.as_array().tolist())))
 
 
 def load_diagonal(path) -> DiagonalCorrection:
     """Read a save_diagonal file; a malformed one, or one holding a negative
-    or non-finite value, raises ValueError naming its line."""
+    or non-finite value, raises ValueError naming its line.
+
+    The n values after the header are parsed with float() in one pass and
+    range-checked with one mask; lines after them are ignored.  Only a file
+    that fails is read again line by line, to name the line.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         fields = header.split()
@@ -247,28 +252,43 @@ def load_diagonal(path) -> DiagonalCorrection:
             key, _, raw = item.partition("=")
             params[key] = raw
         try:
-            values = np.empty(int(params.pop("n")))
+            n = int(params.pop("n"))
+            if n < 0:
+                raise ValueError
             typed = {key: _typed(key, raw) for key, raw in params.items()}
         except (KeyError, ValueError):
             raise ValueError(f"{path}:1: bad diagonal header {header!r}") from None
-        n = len(values)
-        for k in range(n):
-            line = fh.readline()
-            if not line:
-                raise ValueError(
-                    f"{path}:{k + 2}: file ends after {k} of {n} values")
-            try:
-                values[k] = float(line)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{k + 2}: expected a number, got {line.strip()!r}") from None
-            # the true correction lies in [1-c, 1]; the join's soundness
-            # proof needs D >= 0
-            if not 0.0 <= values[k] < np.inf:
-                raise ValueError(
-                    f"{path}:{k + 2}: diagonal values must be finite and "
-                    f"non-negative, got {line.strip()!r}")
+        lines = fh.read().split("\n", n)
+    if len(lines) <= n and not lines[-1]:
+        lines.pop()  # the empty rest after a final line break is no line
+    lines = lines[:n]
+    try:
+        values = np.fromiter(map(float, lines), dtype=float, count=n)
+    except ValueError:  # a line that is no number, or fewer than n lines
+        values = None
+    # the true correction lies in [1-c, 1]; the join's soundness proof needs
+    # D >= 0, and nan fails both comparisons
+    if values is None or not np.all((values >= 0.0) & (values < np.inf)):
+        _raise_at_bad_line(path, lines, n)
     return DiagonalCorrection(values, params=typed)
+
+
+def _raise_at_bad_line(path, lines: list[str], n: int) -> None:
+    """Raise the ValueError of the first of the value lines (file line 2 on)
+    that is not a finite non-negative number, or of a file that ends before
+    n of them."""
+    for k, line in enumerate(lines):
+        try:
+            value = float(line)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{k + 2}: expected a number, got {line.strip()!r}") from None
+        if not 0.0 <= value < np.inf:
+            raise ValueError(
+                f"{path}:{k + 2}: diagonal values must be finite and "
+                f"non-negative, got {line.strip()!r}")
+    raise ValueError(
+        f"{path}:{len(lines) + 2}: file ends after {len(lines)} of {n} values")
 
 
 def _typed(key: str, raw: str):

@@ -6,10 +6,10 @@ matrix-based iteration of Yu et al. applied to the residual system: every
 round moves all residual entries that reach the tolerance into the solution
 S-tilde at once and spreads c P^T R_sel P of them back into the residual
 R-tilde.  It yields a lower set J_L (certain members) and an upper set J_H
-(possible members, S-tilde > 0 at gamma_acc = 0).  Pairs in J_H minus J_L
-go through one batched Monte-Carlo verification.  Optional stochastic
-thresholding drops small fresh residual entries to bound memory, with an
-exponential tail on the total mass dropped per entry.
+(possible members, the support of S-tilde at gamma_acc = 0).  Pairs in J_H
+minus J_L go through one batched Monte-Carlo verification.  Optional
+stochastic thresholding drops small fresh residual entries to bound memory,
+with an exponential tail on the total mass dropped per entry.
 """
 
 from __future__ import annotations
@@ -37,12 +37,13 @@ class MemoryCapExceeded(RuntimeError):
 
 
 def check_join_args(theta: float, gamma_acc: float = 0.0,
-                    beta_skip: float | None = None, p: float = 0.01) -> None:
+                    beta_skip: float | None = None, p: float = 0.01,
+                    R_max: int = 1000) -> None:
     """Raise ValueError naming the first join argument that is out of range.
 
     Every comparison is written so that nan fails it: theta must be finite
     and positive, gamma_acc in [0, 1), beta_skip (when set) finite and
-    positive, and p in (0, 1).
+    positive, p in (0, 1), and the verification cap R_max at least 1.
     """
     if not 0.0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
@@ -53,6 +54,8 @@ def check_join_args(theta: float, gamma_acc: float = 0.0,
             f"beta_skip must be positive and finite, got {beta_skip}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0,1), got {p}")
+    if not R_max >= 1:
+        raise ValueError(f"R_max must be >= 1, got {R_max}")
 
 
 def allocation_draw(a, beta_skip: float, rng: np.random.Generator):
@@ -309,9 +312,9 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
     """All unordered vertex pairs with similarity >= theta (whp).
 
     J_L holds the off-diagonal pairs with S-tilde + R-tilde >= theta,
-    reported as-is.  J_H holds those with S-tilde >= gamma_acc * theta, or
-    S-tilde > 0 when gamma_acc = 0.  Both read the filter's state when it
-    stops, with D >= 0 (the filter rejects any other D) and eps =
+    reported as-is.  J_H holds those with S-tilde + R-tilde >=
+    (1 - c(1-gamma_acc)) theta.  Both read the filter's state when it stops,
+    with D >= 0 (the filter rejects any other D) and eps =
     (1-c)(1-gamma_acc) theta.
 
     Invariant: S = c P^T S P + D and S-tilde = c P^T S-tilde P + D - R-tilde
@@ -325,32 +328,32 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
 
     J_H is complete with thresholding off: at termination every residual is
     below eps, and P is column-substochastic, so each entry of
-    P^{Tt} R-tilde P^t is below eps too and S - S-tilde < eps / (1-c) =
-    (1-gamma_acc) theta.  S >= theta then implies S-tilde > gamma_acc *
-    theta, which is S-tilde > 0 at gamma_acc = 0.  With beta_skip set, the
-    dropped mass X adds to the gap, so completeness holds with high
-    probability: per entry the dropped total exceeds delta with probability
-    at most exp(-beta_skip * delta), the tail of allocation_draw that
-    acceptance criterion 10 checks.
+    P^{Tt} R-tilde P^t is below eps too.  The terms t >= 1 then give
+    S - (S-tilde + R-tilde) < c eps / (1-c) = c(1-gamma_acc) theta, and
+    S >= theta implies S-tilde + R-tilde > (1 - c(1-gamma_acc)) theta.
+    With beta_skip set, the dropped mass X adds to the gap, so completeness
+    holds with high probability: per entry the dropped total exceeds delta
+    with probability at most exp(-beta_skip * delta), the tail of
+    allocation_draw that acceptance criterion 10 checks.
 
-    J_L is inside J_H: R-tilde < eps at termination, so a pair of J_L has
-    S-tilde > theta - eps = theta (c + gamma_acc - c gamma_acc) >=
-    gamma_acc * theta, and S-tilde > 0.
+    At gamma_acc = 0 the bound is (1-c) theta = eps, and J_H is the support
+    of S-tilde: every stored entry of S-tilde was moved there from a
+    residual >= eps, and an entry outside it holds a residual below eps.
+
+    J_L is inside J_H, as theta >= (1 - c(1-gamma_acc)) theta.
 
     Pairs in J_H minus J_L are resolved by one verify_pairs call on rng in
     sorted order, and accepted when the estimate lands on the similar side at
     stopping.  Deterministic under a fixed seed.
     """
-    check_join_args(theta, gamma_acc, beta_skip, p)
+    check_join_args(theta, gamma_acc, beta_skip, p, R_max)
     if rng is None:
         rng = cfg.rng()
     filt = gauss_southwell_filter(g, cfg, D, theta, gamma_acc, beta_skip,
                                   rng, max_entries)
     held = filt.S + filt.R
     J_L = _pairs(held, held.data >= theta)
-    # every stored entry of S-tilde was relaxed with a residual >= eps > 0,
-    # so at gamma_acc = 0 this keeps exactly its support
-    J_H = _pairs(filt.S, filt.S.data >= gamma_acc * theta)
+    J_H = _pairs(held, held.data >= (1.0 - cfg.c * (1.0 - gamma_acc)) * theta)
 
     uncertain = sorted(J_H - J_L)
     checked = (verify_pairs(g, cfg, uncertain, theta, p, R_max, rng)

@@ -227,6 +227,19 @@ class TestJoin:
             assert code == 1 and out == ""
             assert err.startswith("error:") and name in err and value in err
 
+    def test_rmax_checked_before_the_diagonal(self, capsys, monkeypatch,
+                                              star_file, star_diag):
+        def untouched(*args, **kwargs):
+            raise AssertionError("diagonal touched")
+        monkeypatch.setattr(cli, "load_diagonal", untouched)
+        monkeypatch.setattr(cli, "estimate_diagonal", untouched)
+        for diag in (["--diag", star_diag], []):
+            code, out, err = run(capsys, ["join", "--graph", star_file,
+                                          "--c", "0.8", "--T", "40", *diag,
+                                          "--rmax", "0"])
+            assert code == 1 and out == ""
+            assert err == "error: R_max must be >= 1, got 0\n"
+
     def test_negative_diagonal_entry_rejected(self, capsys, monkeypatch,
                                               star_file, star_diag, tmp_path):
         def untouched(*args, **kwargs):
@@ -296,3 +309,47 @@ class TestReproducibility:
             assert code == 0
             outs.append((open(d).read(), out))
         assert outs[0] == outs[1]
+
+
+class TestParserReuse:
+    def test_no_flag_carries_over_between_calls(self, capsys, monkeypatch,
+                                                 star_file, star_diag):
+        """One process runs four commands on the parser it built once; each
+        prints what it prints with a parser of its own."""
+        common = ["--graph", star_file, "--c", "0.8", "--T", "40"]
+        argvs = [
+            ["query", *common, "pair", "1", "2", "--diag", star_diag,
+             "--estimator", "mc", "--R", "50", "--seed", "3"],
+            ["query", *common, "pair", "1", "2"],
+            ["topk", *common, "--source", "1", "--k", "2"],
+            ["join", *common, "--theta", "0.5"],
+        ]
+        loads = []
+        load = cli.load_diagonal
+        monkeypatch.setattr(cli, "load_diagonal",
+                            lambda path: loads.append(path) or load(path))
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(1) or build())
+        once = cli._parser
+        once.cache_clear()
+        try:
+            shared = [run(capsys, argv) for argv in argvs]
+            assert len(builds) == 1
+            # only the first command names a diagonal file
+            assert loads == [star_diag]
+            monkeypatch.setattr(cli, "_parser", build)
+            fresh = [run(capsys, argv) for argv in argvs]
+        finally:
+            once.cache_clear()
+        assert shared == fresh
+        assert all(code == 0 for code, _, _ in shared)
+
+    def test_rebound_handler_is_called(self, capsys, monkeypatch, star_file):
+        main(["query", "--graph", star_file, "pair", "1", "2"])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "cmd_topk", lambda args: print("stub") or 0)
+        code, out, _ = run(capsys, ["topk", "--graph", star_file,
+                                    "--source", "1", "--k", "2"])
+        assert code == 0 and out == "stub\n"

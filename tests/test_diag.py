@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import simrank as sr
 from simrank import diag
-from simrank.diag import EstimationConfig, inner_estimates
+from simrank.diag import DiagonalCorrection, EstimationConfig, inner_estimates
 from simrank.graph import walk_positions, walk_steps
 
 from conftest import make_graph
@@ -322,6 +322,39 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not a diagonal file"):
             sr.load_diagonal(path)
 
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(0.0, 2.0),
+                                     st.floats(0.0, exclude_min=True,
+                                               allow_infinity=False),
+                                     st.just(0.0)),
+                           max_size=40),
+           c=st.floats(0.05, 0.95), T=st.integers(1, 50))
+    def test_round_trip_random_values(self, tmp_path_factory, values, c, T):
+        D = DiagonalCorrection(np.array(values, dtype=float),
+                               params={"c": c, "T": T, "L": 3, "R": None,
+                                       "seed": 0, "mode": "mc"})
+        path = tmp_path_factory.mktemp("diag") / "d.diag"
+        sr.save_diagonal(path, D)
+        # the bytes of the value-by-value writer
+        header = (f"simrank-diag v1 n={len(values)} c={c} T={T} L=3 R=None "
+                  f"mode=mc seed=0\n")
+        assert path.read_text() == header + "".join(f"{v:.17g}\n"
+                                                    for v in values)
+        loaded = sr.load_diagonal(path)
+        assert loaded.values.dtype == np.float64
+        assert np.array_equal(loaded.values.view(np.int64),
+                              D.values.view(np.int64))
+        assert loaded.params == D.params
+
+    def test_lines_after_the_values_are_ignored(self, tmp_path):
+        path = tmp_path / "long.diag"
+        path.write_text("simrank-diag v1 n=2 c=0.8 T=40 L=5 R=100 mode=exact "
+                        "seed=0\n0.5\n0.25\nnot a value\n-1\n")
+        assert sr.load_diagonal(path).values.tolist() == [0.5, 0.25]
+        path.write_text("simrank-diag v1 n=2 c=0.8 T=40 L=5 R=100 mode=exact "
+                        "seed=0\n0.5\n0.25")
+        assert sr.load_diagonal(path).values.tolist() == [0.5, 0.25]
+
     @pytest.mark.parametrize("n, body, line", [
         ("4", "0.5\n0.2\n", 4),               # truncated
         ("4", "0.5\n0.2\nnan?\n0.2\n", 4),    # garbled value
@@ -330,6 +363,9 @@ class TestPersistence:
         ("4", "0.5\n-0.5\n0.2\n0.2\n", 3),   # negative value
         ("4", "0.5\n0.2\nnan\n0.2\n", 4),    # not a number
         ("4", "inf\n0.2\n0.2\n0.2\n", 2),    # infinite value
+        ("4", "0.5\n-0.5\nx\n", 3),           # first fault of a short file
+        ("4", "0.5\n0.2\n0.2\n", 5),          # one value short, no blank
+        ("2", "0.5\n\n", 3),                   # blank line as a value
     ])
     def test_bad_lines_name_file_and_line(self, tmp_path, n, body, line):
         path = tmp_path / "cut.diag"

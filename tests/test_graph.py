@@ -1,11 +1,16 @@
+import io
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simrank as sr
 from simrank.graph import walk_positions, walk_steps, walk_trajectory
 
+import edge_list_reference as reference
 from conftest import STAR_EDGES, make_graph
 
 
@@ -49,6 +54,149 @@ class TestParsing:
         with open(path) as fh:
             g = sr.load_edge_list(fh)
         assert g.n == 4
+
+
+def same(a, b) -> bool:
+    """Equal values of equal types; arrays also of equal dtype and shape,
+    sparse matrices array by array."""
+    if sp.issparse(a):
+        return (sp.issparse(b) and a.shape == b.shape
+                and all(same(getattr(a, k), getattr(b, k))
+                        for k in ("data", "indices", "indptr")))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and np.array_equal(a, b))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(map(same, a, b)))
+    return type(a) is type(b) and a == b
+
+
+# tokens around every rule of the reader: small ids (duplicates and
+# self-loops), int() spellings, long tokens past the window of the
+# vectorized reader, and, among the odd ones, ids of 2^63 and more and
+# tokens int() refuses
+VALID_SPELLINGS = ["-0", "+0", "+3", "007", "1_0", "1_2_3", "0_0",
+                   str(2**63 - 1), "0" * 50 + "12", "0_" * 30 + "5",
+                   "0" * 45 + "1" * 18, "1" + "_0" * 18, "9" + "_2" * 18]
+ODD_SPELLINGS = ["-3", "-1_0", str(2**63), str(2**64), str(2**64 + 7),
+                 "9" * 25, "1" + "0" * 45, "0" * 45 + "1" * 19, "+-1", "--1",
+                 "1_", "_1", "1__0", "+", "-", "_", "a", "1a", "#1", "1#",
+                 "0x1", "1.0", "1-2", "3+", "1+2", "0_-1", "9" + "_9" * 18,
+                 "1" + "_0" * 19, "1" + "_0" * 20]
+VALID_TOKENS = st.one_of(st.integers(0, 9).map(str),
+                         st.integers(0, 2**63 - 1).map(str),
+                         st.sampled_from(VALID_SPELLINGS))
+ODD_TOKENS = st.one_of(st.integers(2**63, 2**70).map(str),
+                       st.integers(-9, -1).map(str),
+                       st.sampled_from(ODD_SPELLINGS))
+SPACES = st.sampled_from([" ", "\t", "  ", " \t ", "\x0b", "\x0c", "\x1c",
+                          "\x1f", "\r"])
+COMMENTS = st.sampled_from(["", " ", "\t", "# comment", "  # indented", "#",
+                            "#1 2", "\x1f#"])
+ODD_LINES = st.one_of(
+    st.sampled_from(["5", "1 2 3", "0 1 # inline", "0 1#"]),
+    st.text(st.characters(max_codepoint=127, blacklist_characters="\n"),
+            max_size=12))
+
+
+def edge_lines(tokens, trails):
+    return st.builds(lambda lead, u, gap, v, trail: lead + u + gap + v + trail,
+                     st.sampled_from(["", " ", "\t"]), tokens, SPACES, tokens,
+                     trails)
+
+
+CLEAN_LINES = st.one_of(*[edge_lines(VALID_TOKENS,
+                                     st.sampled_from(["", " ", "\t"]))] * 3,
+                        COMMENTS)
+NOISY_LINES = st.one_of(
+    edge_lines(st.one_of(VALID_TOKENS, ODD_TOKENS),
+               st.sampled_from(["", " ", "\t", " # note", "#x"])),
+    COMMENTS, ODD_LINES)
+
+
+@st.composite
+def edge_texts(draw):
+    """Mostly well-formed lists half the time, anything ASCII the rest."""
+    if draw(st.booleans()):
+        lines, endings = CLEAN_LINES, st.sampled_from(["\n", "\r\n"])
+    else:
+        lines = NOISY_LINES
+        endings = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c",
+                                   "\x1c", "\x1e"])
+    text = "".join(line + draw(endings)
+                   for line in draw(st.lists(lines, max_size=12)))
+    return text + draw(st.sampled_from(["", "3 4", "# tail"]))
+
+
+def edge_input(form: str, text: str):
+    """text as a string, a text file, or a list of lines with or without
+    their endings."""
+    if form == "str":
+        return text
+    if form == "file":
+        return io.StringIO(text)
+    if form == "lines":
+        return text.splitlines(keepends=True)
+    return text.split("\n")
+
+
+class TestParsingMatchesLineReader:
+    """load_edge_list against the line-by-line reader it replaced."""
+
+    @staticmethod
+    def check(form: str, text: str) -> None:
+        try:
+            want = reference.load_edge_list(edge_input(form, text))
+        except sr.GraphParseError as exc:
+            with pytest.raises(sr.GraphParseError) as info:
+                sr.load_edge_list(edge_input(form, text))
+            assert str(info.value) == str(exc)
+            return
+        g = sr.load_edge_list(edge_input(form, text))
+        n, ids, edges, loops, duplicates = want
+        assert same([g.n, g.original_ids, g.dropped_self_loops,
+                     g.dropped_duplicates], [n, ids, loops, duplicates])
+        for name, value in reference.graph_arrays(n, edges).items():
+            assert same(getattr(g, name), value), name
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=edge_texts(),
+           form=st.sampled_from(["str", "file", "lines", "split"]))
+    def test_same_error_or_same_graph(self, text, form):
+        self.check(form, text)
+
+    @pytest.mark.parametrize("token", VALID_SPELLINGS + ODD_SPELLINGS)
+    def test_every_spelling(self, token):
+        for text in (f"4 {token}\n", f"# c\n{token}\t4\n1 2\n"):
+            self.check("str", text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_graph_from_pairs_matches_edge_by_edge_build(self, seed, n):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(0, 4 * n))
+        pairs = rng.integers(n, size=(m, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        edges = [tuple(e) for e in pairs.tolist()]
+        for given_edges in (edges, pairs):
+            g = sr.Graph(n, given_edges)
+            for name, value in reference.graph_arrays(n, edges).items():
+                assert same(getattr(g, name), value), name
+
+    @pytest.mark.parametrize("text, line, what", [
+        ("0 1\n1 2 # note\n", 2, "expected 'u v'"),
+        ("0\n1\n2\n3\n", 1, "expected 'u v'"),
+        (f"0 1\n2 {2**63}\n", 2, "above 2^63 - 1"),
+        (f"0 {2**63 - 1}\n1 {'0' * 60 + '9'}\n3 {'1' + '0' * 50}\n", 3,
+         "above 2^63 - 1"),
+        ("0 1\n1 -2\n", 2, "negative"),
+        ("# c\n\n0 x\n", 3, "non-integer"),
+    ])
+    def test_traps(self, text, line, what):
+        with pytest.raises(sr.GraphParseError,
+                           match=f"line {line}: .*{re.escape(what)}"):
+            sr.load_edge_list(text)
 
 
 class TestConfig:

@@ -117,6 +117,8 @@ class TestFilter:
             with pytest.raises(ValueError, match="diagonal.*vertex 2"):
                 sr.gauss_southwell_filter(star, cfg08,
                                           DiagonalCorrection(values), 0.5)
+        with pytest.raises(ValueError, match="R_max must be >= 1, got 0"):
+            sr.join(star, cfg08, D, 0.5, R_max=0)
 
 
 class TestStochasticThreshold:
@@ -231,7 +233,8 @@ ORACLE_TOL = 1e-8
 
 class TestZeroGammaUpperSet:
     """The filter sandwich and both join sets against the oracle, thresholding
-    off, for any accuracy split; at gamma = 0 J_H is the filter's support."""
+    off, for any accuracy split.  J_H is S-tilde + R-tilde >=
+    (1 - c(1-gamma)) theta, which at gamma = 0 is the filter's support."""
 
     @settings(max_examples=60, deadline=None)
     @given(g=small_digraphs(), c=st.floats(0.2, 0.9),
@@ -246,12 +249,18 @@ class TestZeroGammaUpperSet:
         store = sr.gauss_southwell_filter(g, cfg, D, theta, gamma)
         off = ~np.eye(g.n, dtype=bool)
         gap = (S - store.dense_solution(g.n))[off]
+        residual = store.dense_residual(g.n)
         assert gap.min() >= -ORACLE_TOL
         assert gap.max() < (1 - gamma) * theta + ORACLE_TOL
         # the residual itself is certain: S >= S-tilde + R-tilde
-        assert (gap - store.dense_residual(g.n)[off]).min() >= -ORACLE_TOL
-        upper = {k for k, v in store.solution.items()
-                 if k[0] < k[1] and v >= gamma * theta}
+        assert (gap - residual[off]).min() >= -ORACLE_TOL
+        # and what lies beyond it is below c (1-gamma) theta, which is what
+        # lets J_H be cut on S-tilde + R-tilde
+        assert (gap - residual[off]).max() < c * (1 - gamma) * theta + ORACLE_TOL
+        held = store.dense_solution(g.n) + residual
+        cut = (1.0 - c * (1.0 - gamma)) * theta
+        rows, cols = np.nonzero(np.triu(held >= cut, k=1))
+        upper = set(zip(rows.tolist(), cols.tolist()))
         assert res.J_H == upper
         if gamma == 0.0:
             assert upper == {k for k, v in store.solution.items()

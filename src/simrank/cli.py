@@ -22,7 +22,8 @@ import time
 import numpy as np
 
 from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
-                   load_diagonal, residual_norm, save_diagonal)
+                   load_diagonal, residual_norm, save_diagonal,
+                   source_blocks)
 from .graph import Config, Graph, load_edge_list
 from .join import check_join_args, join
 from .mc import mc_single_pair, mc_single_source
@@ -121,8 +122,7 @@ def cmd_query(args) -> int:
         (i,) = args.vertices
         col = (mc_single_source(g, cfg, D, i, args.R, rng) if mc
                else single_source(g, cfg, D, i))
-        sys.stdout.write("".join(map("{}\t{:.6f}\n".format, range(g.n),
-                                     col.tolist())))
+        sys.stdout.write(tsv_rows((np.arange(g.n),), col))
     else:  # allpairs
         with open(args.out, "w") as fh:
             rows = all_pairs(g, cfg, D, fh, threshold=args.threshold)
@@ -170,10 +170,11 @@ def cmd_oracle(args) -> int:
     g, cfg = _load_graph(args)
     S = naive_simrank(g, cfg, cap=args.cap)
     sink = open(args.out, "w") if args.out else sys.stdout
-    js = list(range(g.n))
+    js = np.arange(g.n)
     try:
-        for i, row in enumerate(S.tolist()):
-            sink.write(tsv_rows(i, js, row))
+        for ks in source_blocks(g.n):
+            sink.write(tsv_rows((np.repeat(ks, g.n), np.tile(js, len(ks))),
+                                S[ks].ravel()))
     finally:
         if args.out:
             sink.close()

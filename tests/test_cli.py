@@ -5,6 +5,7 @@ import simrank as sr
 from simrank import cli
 from simrank.cli import main
 
+import tsv_reference
 from conftest import SEVEN_EDGES, STAR_EDGES
 
 
@@ -292,6 +293,59 @@ class TestOracleAndAccuracy:
         code, _, err = run(capsys, ["oracle", "--graph", star_file,
                                     "--cap", "2"])
         assert code == 1 and "cap" in err
+
+
+class TestScoreListingBytes:
+    """oracle, query source and query allpairs print what the per-row
+    formatting of tsv_reference prints, byte for byte."""
+
+    @pytest.fixture(params=range(6))
+    def random_graph(self, request, tmp_path, capsys):
+        rng = np.random.default_rng([request.param, 15])
+        n = int(rng.integers(2, 40))
+        pairs = rng.integers(n, size=(int(rng.integers(1, 4 * n)), 2))
+        text = "".join(f"{u} {v}\n" for u, v in pairs.tolist())
+        if all(u == v for u, v in pairs.tolist()):
+            text += "0 1\n"
+        graph, diag = tmp_path / "g.txt", tmp_path / "g.diag"
+        graph.write_text(text)
+        assert main(["estimate-diag", "--graph", str(graph), "--L", "2",
+                     "--out", str(diag)]) == 0
+        capsys.readouterr()
+        g = sr.load_edge_list(text)
+        return str(graph), str(diag), g, sr.load_diagonal(str(diag))
+
+    def test_oracle(self, capsys, tmp_path, random_graph):
+        graph, _, g, _ = random_graph
+        out = tmp_path / "orc.tsv"
+        code, _, _ = run(capsys, ["oracle", "--graph", graph,
+                                  "--out", str(out)])
+        S = sr.naive_simrank(g, sr.Config())
+        assert code == 0
+        assert out.read_text() == tsv_reference.oracle_rows(S)
+
+    @pytest.mark.parametrize("estimator", ["exact", "mc"])
+    def test_source(self, capsys, random_graph, estimator):
+        graph, diag, g, D = random_graph
+        cfg = sr.Config()
+        for i in range(0, g.n, 7):
+            code, out, _ = run(capsys, ["query", "--graph", graph, "--diag",
+                                        diag, "--estimator", estimator,
+                                        "source", str(i)])
+            col = (sr.mc_single_source(g, cfg, D, i, 100, cfg.rng())
+                   if estimator == "mc" else sr.single_source(g, cfg, D, i))
+            assert code == 0 and out == tsv_reference.source_rows(col)
+
+    def test_allpairs_threshold_zero(self, capsys, tmp_path, random_graph):
+        graph, diag, g, D = random_graph
+        out = tmp_path / "ap.tsv"
+        code, _, _ = run(capsys, ["query", "--graph", graph, "--diag", diag,
+                                  "allpairs", "--threshold", "0",
+                                  "--out", str(out)])
+        cfg = sr.Config()
+        columns = [sr.single_source(g, cfg, D, i) for i in range(g.n)]
+        assert code == 0
+        assert out.read_text() == tsv_reference.all_pairs_rows(columns, 0.0)
 
 
 class TestReproducibility:

@@ -2,10 +2,11 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import simrank as sr
+from simrank.query import tsv_rows
 
 from conftest import make_graph
 
@@ -142,6 +143,60 @@ class TestSourceColumns:
                     mp.setattr(sr.diag, "BLOCK_BUDGET", size * g.n)
                     assert sr.all_pairs(g, cfg, D, got, threshold) == want_rows
                 assert got.getvalue() == want.getvalue()
+
+
+def percent_rows(ids, scores):
+    """The rows "%d<TAB>...%.6f\n" % row, one row at a time (reference)."""
+    fmt = "%d\t" * len(ids) + "%.6f\n"
+    return "".join(fmt % row for row in zip(*ids, scores))
+
+
+def near_half(k: int, ulps: int) -> float:
+    """The float ulps steps away from the nearest float to (k + 1/2) / 1e6."""
+    x = (k + 0.5) / 1e6
+    toward = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, toward))
+    return x
+
+
+SCORES = st.one_of(
+    st.floats(0.0, 3.0),
+    st.builds(near_half, st.integers(0, 3 * 10**6), st.integers(-4, 4)),
+    st.builds(lambda x: -x, st.builds(near_half, st.integers(0, 10**6),
+                                      st.integers(-4, 4))),
+    # odd multiples of 1/128 are exact decimal ties, which '%.6f' rounds
+    # half to even
+    st.sampled_from([0.0, -0.0, -1e-300, -1e-9, -4e-7, -5e-7, -0.25,
+                     1 / 128, 3 / 128, -5 / 128,
+                     999.9999995, 1e3, 1e3 + 1e-9, 12345.678, -1e3,
+                     float("inf"), -float("inf"), float("nan")]),
+    st.floats(-1e-3, 0.0),
+)
+
+
+class TestTsvRows:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(0, 2**31 - 1),
+                                   st.integers(0, 2**31 - 1), SCORES),
+                         max_size=40))
+    @example(rows=[])
+    def test_equals_percent_format(self, rows):
+        # a score the vectorized path takes not (non-finite or |x| >= 1e3)
+        # sends the whole call to '%'; the rows without one take it
+        for subset in (rows, [r for r in rows if abs(r[2]) < 1e3]):
+            i, j, x = ([r[k] for r in subset] for k in range(3))
+            ids = (np.array(i, dtype=np.int64), np.array(j, dtype=np.int64))
+            scores = np.array(x, dtype=np.float64)
+            assert tsv_rows(ids, scores) == percent_rows((i, j), x)
+            assert tsv_rows(ids[1:], scores) == percent_rows((j,), x)
+
+    def test_every_near_tie_of_a_range(self):
+        # the floats within 4 ulps of (k + 1/2) / 1e6, for 20000 consecutive k
+        base = (np.arange(123456, 143456) + 0.5) / 1e6
+        x = np.concatenate([base + u * np.spacing(base) for u in range(-4, 5)])
+        js = np.arange(len(x))
+        assert tsv_rows((js,), x) == percent_rows((js.tolist(),), x.tolist())
 
 
 class TestDenseTruncated:

@@ -121,29 +121,19 @@ def walk_rows(g: Graph, cfg: Config, ks: np.ndarray, R: int,
               rng: np.random.Generator) -> sp.csr_matrix:
     """Sparse W[j, :] = sum_{t<T} c^t (h_t / R)^2, with h_t the step-t
     position counts of R walks from ks[j]; the walks of all sources run
-    together, R consecutive walks per source.
-
-    A step's keys (row, position) are counted by one bincount when the
-    len(ks) n keys are no more than the step's walks, else by a sort; both
-    give the same ascending keys and counts."""
+    together, R consecutive walks per source."""
     n = g.n
     row_of_walk = np.repeat(np.arange(len(ks)) * n, R)
     keys, vals = [], []
     weight = 1.0
     for pos, walk in walk_steps(g, np.repeat(ks, R), cfg.T, rng):
         key = row_of_walk[walk] + pos
-        if len(ks) * n <= len(key):
-            counts = np.bincount(key, minlength=len(ks) * n)
-            key = np.flatnonzero(counts)
-            counts = counts[key]
-        else:
-            key.sort()
-            edge = np.ones(len(key) + 1, dtype=bool)  # run boundaries
-            np.not_equal(key[1:], key[:-1], out=edge[1:-1])
-            bounds = np.flatnonzero(edge)
-            counts = bounds[1:] - bounds[:-1]
-            key = key[bounds[:-1]]
-        keys.append(key)
+        key.sort()
+        edge = np.ones(len(key) + 1, dtype=bool)  # run boundaries of equal keys
+        np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+        bounds = np.flatnonzero(edge)
+        counts = bounds[1:] - bounds[:-1]
+        keys.append(key[bounds[:-1]])
         vals.append(weight * (counts / R) ** 2)
         weight *= cfg.c
     key = np.concatenate(keys)

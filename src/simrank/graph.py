@@ -186,17 +186,8 @@ def load_edge_list(stream) -> Graph:
     pairs = pairs[~loops]
     if not len(pairs):
         raise GraphParseError("empty graph: no vertices found")
-    flat = pairs.ravel()
-    # one unstable sort: a run's first position is the minimum over the run
-    by_id = np.argsort(flat)
-    ids_sorted = flat[by_id]
-    start = np.ones(len(flat), dtype=bool)
-    np.not_equal(ids_sorted[1:], ids_sorted[:-1], out=start[1:])
-    starts = np.flatnonzero(start)
-    ids = ids_sorted[starts]
-    first = np.minimum.reduceat(by_id, starts)
-    inverse = np.empty_like(by_id)
-    inverse[by_id] = np.cumsum(start) - 1
+    ids, first, inverse = np.unique(pairs.ravel(), return_index=True,
+                                    return_inverse=True)
     order = np.argsort(first)  # ids by first appearance
     dense = np.empty_like(order)
     dense[order] = np.arange(len(order))

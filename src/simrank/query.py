@@ -68,7 +68,8 @@ def fold_series(g: Graph, cfg: Config, stack: list[np.ndarray]) -> np.ndarray:
 def tsv_rows(ids, scores) -> str:
     """The rows "id<TAB>...<TAB>score\n" for the parallel integer columns of
     ids and the float scores, as one string: byte for byte what
-    "%d\t...\t%.6f\n" % row gives, row by row.
+    "%d\t...\t%.6f\n" % row gives, row by row.  The ids are vertex
+    indices: non-negative and below 2^32.
 
     Vectorized: each field is written one digit position at a time into a
     (rows, width) byte array, leading zeros are masked off and one boolean
@@ -76,16 +77,15 @@ def tsv_rows(ids, scores) -> str:
     entry whose |x| 1e6 lies within 1e-6 of a half-integer, where the float
     product can fall on the wrong side of the tie that '%.6f' breaks on the
     exact binary value, is rounded by '%.6f' itself.  A score that is not
-    finite or has |x| >= 1e3, or an id outside [0, 2^32), sends the whole
-    call through the '%' format string.
+    finite or has |x| >= 1e3 sends the whole call through the '%' format
+    string.
     """
     ids = [np.asarray(col) for col in ids]
     scores = np.asarray(scores, dtype=np.float64)
     if not len(scores):
         return ""
     mag = np.abs(scores)
-    if not (mag < 1e3).all() or not all(
-            col.min() >= 0 and col.max() < 2**32 for col in ids):
+    if not (mag < 1e3).all():
         fields = [None] * ((len(ids) + 1) * len(scores))
         for k, col in enumerate(ids):
             fields[k::len(ids) + 1] = col.tolist()

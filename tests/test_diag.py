@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -47,22 +46,6 @@ def recount_rows(g, cfg, ks, R, rng):
             hist = np.bincount(pos[walk // R == j], minlength=g.n)
             W[j] += cfg.c ** t * (hist / R) ** 2
     return W
-
-
-def sorted_walk_rows(g, cfg, ks, R, rng):
-    """walk_rows with every step counted by a sort of its keys (reference)."""
-    n = g.n
-    row_of_walk = np.repeat(np.arange(len(ks)) * n, R)
-    keys, vals = [], []
-    weight = 1.0
-    for pos, walk in walk_steps(g, np.repeat(ks, R), cfg.T, rng):
-        key, counts = np.unique(row_of_walk[walk] + pos, return_counts=True)
-        keys.append(key)
-        vals.append(weight * (counts / R) ** 2)
-        weight *= cfg.c
-    key = np.concatenate(keys)
-    return sp.csr_matrix((np.concatenate(vals), (key // n, key % n)),
-                         shape=(len(ks), n))
 
 
 def hist_inner_estimates(g, cfg, D, k, R, rng):
@@ -237,18 +220,6 @@ class TestWalkRows:
         ref = recount_rows(g, cfg, ks, R, np.random.default_rng(cfg.seed))
         assert W.shape == ref.shape
         assert np.max(np.abs(W.toarray() - ref)) <= 1e-12
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=mc_cases(), side=st.sampled_from(["sort", "bincount"]))
-    def test_bincount_and_sort_give_the_sorted_rows(self, case, side):
-        # the first step counts len(ks) R keys over len(ks) n slots: a
-        # bincount from R = n on, a sort below
-        g, ks, _, cfg = case
-        R = 2 * g.n if side == "bincount" else max(1, g.n // 2)
-        W = diag.walk_rows(g, cfg, ks, R, np.random.default_rng(cfg.seed))
-        ref = sorted_walk_rows(g, cfg, ks, R, np.random.default_rng(cfg.seed))
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(W, name), getattr(ref, name))
 
     @settings(max_examples=60, deadline=None)
     @given(case=mc_cases(), d_seed=st.integers(0, 10**6))

@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("join", help="all pairs above a similarity threshold")
     _add_common(p)
-    p.add_argument("--theta", type=float, default=0.2)
+    p.add_argument("--theta", type=float, default=0.2,
+                   help="similarity threshold in (0,1)")
     p.add_argument("--gamma", type=float, default=0.0,
                    help="accuracy split in [0,1); larger lowers the filter "
                         "tolerance (1-c)(1-gamma)theta, so the filter does more "
@@ -253,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.01,
                    help="verification failure probability")
     p.add_argument("--rmax", type=int, default=1000,
-                   help="verification sample cap")
+                   help="verification sample cap per pair; the look-ahead "
+                        "stops at a step storing more entries than this many "
+                        "per pair left")
     p.add_argument("--diag", help="diagonal file (default: exact estimate)")
     p.add_argument("--out", help="output file (default stdout)")
 

@@ -6,10 +6,14 @@ matrix-based iteration of Yu et al. applied to the residual system: every
 round moves all residual entries that reach the tolerance into the solution
 S-tilde at once and spreads c P^T R_sel P of them back into the residual
 R-tilde.  It yields a lower set J_L (certain members) and an upper set J_H
-(possible members, the support of S-tilde at gamma_acc = 0).  Pairs in J_H
-minus J_L go through one batched Monte-Carlo verification.  Optional
-stochastic thresholding drops small fresh residual entries to bound memory,
-with an exponential tail on the total mass dropped per entry.
+(possible members, the support of S-tilde at gamma_acc = 0).  The band J_H
+minus J_L first goes through a look-ahead: a few sparse frontier products
+that add later terms of the residual series to each pair's lower bound and
+shrink its upper bound, certifying pairs into J_L or dropping them.  Only
+the band pairs left unsettled go through one batched Monte-Carlo
+verification.  Optional stochastic thresholding drops small fresh residual
+entries to bound memory, with an exponential tail on the total mass dropped
+per entry.
 """
 
 from __future__ import annotations
@@ -41,12 +45,13 @@ def check_join_args(theta: float, gamma_acc: float = 0.0,
                     R_max: int = 1000) -> None:
     """Raise ValueError naming the first join argument that is out of range.
 
-    Every comparison is written so that nan fails it: theta must be finite
-    and positive, gamma_acc in [0, 1), beta_skip (when set) finite and
-    positive, p in (0, 1), and the verification cap R_max at least 1.
+    Every comparison is written so that nan fails it: theta must be in
+    (0, 1), as verification needs, gamma_acc in [0, 1), beta_skip (when
+    set) finite and positive, p in (0, 1), and the verification cap R_max at
+    least 1.
     """
-    if not 0.0 < theta < math.inf:
-        raise ValueError(f"theta must be positive and finite, got {theta}")
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must be in (0,1), got {theta}")
     if not 0.0 <= gamma_acc < 1.0:
         raise ValueError(f"gamma_acc must be in [0,1), got {gamma_acc}")
     if beta_skip is not None and not 0.0 < beta_skip < math.inf:
@@ -285,6 +290,88 @@ def gauss_southwell_filter(g: Graph, cfg: Config, D: DiagonalCorrection,
 
 
 @dataclass
+class LookAhead:
+    """Bounds on S for each band pair when the look-ahead stops.
+
+    lo and up bound a pair's score at the last level run for it (up with
+    thresholding off); a pair with lo >= theta is settled in, one with up <
+    theta settled out, and the rest are left.  levels counts the sparse
+    products taken.
+    """
+
+    lo: np.ndarray
+    up: np.ndarray
+    settled_in: np.ndarray
+    settled_out: np.ndarray
+    levels: int
+
+    @property
+    def left(self) -> np.ndarray:
+        return ~(self.settled_in | self.settled_out)
+
+
+def look_ahead(g: Graph, cfg: Config, filt: FilterResult, band, theta: float,
+               R_max: int) -> LookAhead:
+    """Settle band pairs (i, j), i < j, by the terms t >= 1 of the invariant.
+
+    With F_t = (P^t e_i)^T and G_t = (P^t e_j)^T, the frontier rows after t
+    steps, S_ij - (S-tilde + R-tilde)_ij = sum_{t>=1} c^t F_t (R-tilde + X)
+    G_t^T, every term non-negative (see join), so level l gives
+
+        lo_l = (S-tilde + R-tilde)_ij + sum_{1<=t<=l} c^t F_t R-tilde G_t^T,
+
+    a lower bound on S_ij with or without thresholding.  The row sums of
+    F_t never grow with t, as P is column-substochastic, so with X = 0 the
+    remaining terms are at most c^{l+1} max(R-tilde) |F_l|_1 |G_l|_1 / (1-c),
+    and up_l is lo_l plus that.  Level 0 reads the filter's state alone.
+    Each level takes one product of the stacked frontier rows of every
+    endpoint left with P^T and one with the symmetric R-tilde, for all pairs
+    at once.  The look-ahead stops when no pair is left, after cfg.T levels,
+    or after a level whose product with R-tilde stores more entries than
+    R_max per pair left: the samples verification could draw for them.  An
+    empty band returns before anything is built.
+    """
+    band = np.asarray(band, dtype=np.int64).reshape(-1, 2)
+    if not len(band):
+        none = np.zeros(0, dtype=bool)
+        return LookAhead(np.zeros(0), np.zeros(0), none, none, 0)
+    i, j = band[:, 0], band[:, 1]
+    lo = np.asarray(filt.S[i, j] + filt.R[i, j]).ravel()
+    tail = cfg.c * float(filt.R.data.max(initial=0.0)) / (1.0 - cfg.c)
+    up = lo + tail
+    settled_in, settled_out = lo >= theta, up < theta
+    left = np.flatnonzero(~(settled_in | settled_out))
+    if not left.size:
+        return LookAhead(lo, up, settled_in, settled_out, 0)
+
+    R = _symmetric(filt.R)
+    verts, ends = np.unique(band[left].ravel(), return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    F = sp.csr_matrix((np.ones(len(verts)), verts, np.arange(len(verts) + 1)),
+                      shape=(len(verts), g.n))
+    levels = 0
+    while left.size and levels < cfg.T:
+        F = F @ g.PT
+        A = F @ R
+        levels += 1
+        weight = cfg.c ** levels
+        gain = A[ends[:, 0]].multiply(F[ends[:, 1]]).sum(axis=1)
+        lo[left] += weight * np.asarray(gain).ravel()
+        mass = np.asarray(F.sum(axis=1)).ravel()
+        up[left] = lo[left] + weight * tail * mass[ends[:, 0]] * mass[ends[:, 1]]
+        settled_in[left] = lo[left] >= theta
+        settled_out[left] = up[left] < theta
+        if A.nnz > left.size * R_max:
+            break
+        keep = ~(settled_in[left] | settled_out[left])
+        left = left[keep]
+        rows, ends = np.unique(ends[keep].ravel(), return_inverse=True)
+        ends = ends.reshape(-1, 2)
+        F = F[rows]
+    return LookAhead(lo, up, settled_in, settled_out, levels)
+
+
+@dataclass
 class JoinResult:
     J_L: set[tuple[int, int]]
     J_H: set[tuple[int, int]]
@@ -311,11 +398,12 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
          max_entries: int = DEFAULT_MAX_ENTRIES) -> JoinResult:
     """All unordered vertex pairs with similarity >= theta (whp).
 
-    J_L holds the off-diagonal pairs with S-tilde + R-tilde >= theta,
-    reported as-is.  J_H holds those with S-tilde + R-tilde >=
-    (1 - c(1-gamma_acc)) theta.  Both read the filter's state when it stops,
+    J_H holds the off-diagonal pairs with S-tilde + R-tilde >=
+    (1 - c(1-gamma_acc)) theta, read from the filter's state when it stops,
     with D >= 0 (the filter rejects any other D) and eps =
-    (1-c)(1-gamma_acc) theta.
+    (1-c)(1-gamma_acc) theta.  J_L holds the pairs with S-tilde + R-tilde >=
+    theta and the band pairs (J_H minus those) that look_ahead certifies;
+    all are reported as-is.
 
     Invariant: S = c P^T S P + D and S-tilde = c P^T S-tilde P + D - R-tilde
     - X, where X >= 0 is the mass thresholding dropped (0 with it off), so
@@ -324,7 +412,8 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
     non-negative.
 
     J_L is sound, with or without thresholding: the t = 0 term alone gives
-    S - S-tilde >= R-tilde, so S >= S-tilde + R-tilde >= theta.
+    S - S-tilde >= R-tilde, so S >= S-tilde + R-tilde >= theta, and a
+    certified pair has a partial sum of the series at or above theta.
 
     J_H is complete with thresholding off: at termination every residual is
     below eps, and P is column-substochastic, so each entry of
@@ -340,11 +429,17 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
     of S-tilde: every stored entry of S-tilde was moved there from a
     residual >= eps, and an entry outside it holds a residual below eps.
 
-    J_L is inside J_H, as theta >= (1 - c(1-gamma_acc)) theta.
-
-    Pairs in J_H minus J_L are resolved by one verify_pairs call on rng in
-    sorted order, and accepted when the estimate lands on the similar side at
-    stopping.  Deterministic under a fixed seed.
+    The band J_H minus {S-tilde + R-tilde >= theta} first goes through
+    look_ahead, which settles pairs by later terms of the same series.  Its
+    settle-out bound leaves out X like J_H's cut does, but with less slack:
+    J_H's cut allows c eps / (1-c) for the terms t >= 1, the look-ahead only
+    c^{l+1} max(R-tilde) / (1-c) beyond level l.  So with thresholding on, a
+    pair is dropped wrongly only when X at the entries its walks meet
+    exceeds that smaller margin, which criterion 10's tail makes improbable
+    as it does for J_H.  Only the pairs left are sampled, by one
+    verify_pairs call on rng in sorted order, and accepted when the estimate
+    lands on the similar side at stopping.  Deterministic under a fixed
+    seed.
     """
     check_join_args(theta, gamma_acc, beta_skip, p, R_max)
     if rng is None:
@@ -355,14 +450,21 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
     J_L = _pairs(held, held.data >= theta)
     J_H = _pairs(held, held.data >= (1.0 - cfg.c * (1.0 - gamma_acc)) * theta)
 
-    uncertain = sorted(J_H - J_L)
+    band = np.array(sorted(J_H - J_L), dtype=np.int64).reshape(-1, 2)
+    ahead = look_ahead(g, cfg, filt, band, theta, R_max)
+    J_L |= set(map(tuple, band[ahead.settled_in].tolist()))
+    uncertain = band[ahead.left]
     checked = (verify_pairs(g, cfg, uncertain, theta, p, R_max, rng)
-               if uncertain else [])
-    verified = {pair for pair, res in zip(uncertain, checked)
+               if len(uncertain) else [])
+    verified = {pair for pair, res in zip(map(tuple, uncertain.tolist()),
+                                          checked)
                 if res.side == "similar"}
 
     stats = dict(filt.stats)
     stats.update({"J_L": len(J_L), "J_H": len(J_H),
                   "verified": len(verified),
+                  "lookahead_levels": ahead.levels,
+                  "settled_in": int(ahead.settled_in.sum()),
+                  "settled_out": int(ahead.settled_out.sum()),
                   "samples": sum(res.samples_used for res in checked)})
     return JoinResult(J_L, J_H, verified, stats)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -208,9 +210,29 @@ class TestJoin:
         assert len(lines) == 3
         assert all(line.endswith(("filter", "verified")) for line in lines)
         assert err.startswith("{")  # stats summary on the side channel
+        stats = json.loads(err)
+        for key in ("J_L", "J_H", "verified", "samples", "lookahead_levels",
+                    "settled_in", "settled_out"):
+            assert key in stats
+
+    def test_look_ahead_settles_the_band(self, capsys, star_file, star_diag):
+        # at c = 0.8 the three leaf pairs score 0.8: above theta = 0.7, but
+        # the filter alone leaves them in the band, and the look-ahead
+        # certifies them without a sample
+        code, out, err = run(capsys, ["join", "--graph", star_file,
+                                      "--c", "0.8", "--T", "40",
+                                      "--diag", star_diag, "--theta", "0.7",
+                                      "--gamma", "0"])
+        assert code == 0
+        assert out == "1\t2\tfilter\n1\t3\tfilter\n2\t3\tfilter\n"
+        stats = json.loads(err)
+        assert stats["settled_in"] == 3 and stats["settled_out"] == 0
+        assert stats["lookahead_levels"] >= 1
+        assert stats["samples"] == 0
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--theta", "nan", "theta"), ("--theta", "inf", "theta"),
+        ("--theta", "1.2", "theta"),
         ("--gamma", "nan", "gamma"), ("--p", "nan", "p"),
         ("--beta-skip", "nan", "beta-skip"),
     ])

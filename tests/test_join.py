@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import simrank as sr
 from simrank.diag import DiagonalCorrection
-from simrank.join import MemoryCapExceeded, ResidualStore, allocation_draw
+from simrank.join import (MemoryCapExceeded, ResidualStore, allocation_draw,
+                          look_ahead)
 
 from conftest import make_graph
 
@@ -106,6 +107,11 @@ class TestFilter:
             sr.gauss_southwell_filter(star, cfg08, D, 0.5, gamma_acc=1.0)
         with pytest.raises(ValueError, match="theta"):
             sr.gauss_southwell_filter(star, cfg08, D, 0.0)
+        # verification needs theta < 1, so the join refuses it up front
+        g = sr.load_edge_list("0 2\n0 3\n1 0\n")
+        for theta in (1.0, 1.2, 5.0):
+            with pytest.raises(ValueError, match=r"theta must be in \(0,1\)"):
+                sr.join(g, cfg08, sr.exact_diagonal(g, cfg08), theta)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="theta"):
                 sr.gauss_southwell_filter(star, cfg08, D, bad)
@@ -288,3 +294,35 @@ class TestThresholdedFilter:
         res = sr.join(g, cfg, D, theta, gamma, beta, R_max=64,
                       rng=np.random.default_rng(seed))
         assert res.J_L <= sr.brute_force_join(g, cfg, theta - 1e-9)
+
+
+class TestLookAhead:
+    """look_ahead against the series of the same D, summed to T = 200 steps,
+    thresholding off.  c stays at or below 0.8, where the terms past
+    T = 200 sum to at most 2e-19 max(D)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_digraphs(), c=st.floats(0.2, 0.8),
+           theta=st.floats(0.02, 0.9), gamma=st.sampled_from([0.0, 0.5]),
+           exact=st.booleans(), levels=st.integers(1, 4),
+           R_max=st.sampled_from([1, 1000]), wide=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_settled_pairs_lie_on_their_side(self, g, c, theta, gamma, exact,
+                                             levels, R_max, wide, seed):
+        cfg = sr.Config(c=c, T=levels)
+        D = (sr.exact_diagonal(g, cfg) if exact else DiagonalCorrection(
+            np.random.default_rng(seed).uniform(0.0, 1.0, g.n)))
+        S = sr.dense_truncated(g, sr.Config(c=c, T=200), D)
+        filt = sr.gauss_southwell_filter(g, cfg, D, theta, gamma)
+        held = filt.dense_solution(g.n) + filt.dense_residual(g.n)
+        # the join's band, or every pair the filter alone leaves below theta
+        low = 0.0 if wide else (1.0 - c * (1.0 - gamma)) * theta
+        band = np.argwhere(np.triu((held >= low) & (held < theta), k=1))
+        ahead = look_ahead(g, cfg, filt, band, theta, R_max)
+        s = S[band[:, 0], band[:, 1]]
+        assert ahead.levels <= levels
+        assert (ahead.lo >= held[band[:, 0], band[:, 1]]).all()
+        assert (s[ahead.settled_in] >= theta - 1e-9).all()
+        assert (s[ahead.settled_out] < theta + 1e-9).all()
+        assert (ahead.lo <= s + 1e-9).all() and (s <= ahead.up + 1e-9).all()
+        assert not (ahead.settled_in & ahead.settled_out).any()

@@ -4,7 +4,7 @@ Monte-Carlo queries, top-k search over one column, and threshold joins."""
 from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
                    initial_guess, load_diagonal, residual_norm, save_diagonal)
 from .graph import (Config, Distribution, Graph, GraphParseError,
-                    bfs_distances, load_edge_list, sample_step, step)
+                    bfs_distances, load_edge_list, step)
 from .join import (JoinResult, ResidualStore, gauss_southwell_filter, join,
                    stochastic_threshold)
 from .mc import (VerifyResult, mc_single_pair, mc_single_source,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Config", "Graph", "Distribution", "GraphParseError", "load_edge_list",
-    "step", "sample_step", "bfs_distances",
+    "step", "bfs_distances",
     "naive_simrank", "exact_diagonal", "brute_force_join", "brute_force_topk",
     "mean_error", "OracleCapExceeded",
     "DiagonalCorrection", "EstimationConfig", "estimate_diagonal",

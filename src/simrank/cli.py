@@ -26,7 +26,7 @@ from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
                    source_blocks)
 from .graph import Config, Graph, load_edge_list
 from .join import check_join_args, join
-from .mc import mc_single_pair, mc_single_source
+from .mc import check_walk_count, mc_single_pair, mc_single_source
 from .oracle import naive_simrank
 from .query import (DEFAULT_OUTPUT_THRESHOLD, all_pairs, single_pair,
                     single_source, tsv_rows)
@@ -109,9 +109,11 @@ def cmd_query(args) -> int:
             raise ValueError("allpairs requires --out")
         if not np.isfinite(args.threshold):
             raise ValueError(f"--threshold must be finite, got {args.threshold}")
+    mc = args.estimator == "mc"
+    if mc and args.submode != "allpairs":
+        check_walk_count(args.R)
     D = _diagonal(args, g, cfg)
     rng = cfg.rng()
-    mc = args.estimator == "mc"
 
     if args.submode == "pair":
         i, j = args.vertices
@@ -133,9 +135,12 @@ def cmd_query(args) -> int:
 def cmd_topk(args) -> int:
     g, cfg = _load_graph(args)
     _check_vertex(g, args.source)
+    mc = args.estimator == "mc"
+    if mc:
+        check_walk_count(args.R)
     D = _diagonal(args, g, cfg)
     # topk_query draws its Monte-Carlo column from adaptive[1] walks
-    adaptive = (args.R, args.R) if args.estimator == "mc" else None
+    adaptive = (args.R, args.R) if mc else None
     ranked = topk_query(g, cfg, D, None, args.source, args.k,
                         theta_floor=args.theta_floor, adaptive=adaptive,
                         rng=cfg.rng())

@@ -121,7 +121,8 @@ def walk_rows(g: Graph, cfg: Config, ks: np.ndarray, R: int,
               rng: np.random.Generator) -> sp.csr_matrix:
     """Sparse W[j, :] = sum_{t<T} c^t (h_t / R)^2, with h_t the step-t
     position counts of R walks from ks[j]; the walks of all sources run
-    together, R consecutive walks per source."""
+    together on ``walk_steps``, R consecutive walks per source, and draw in
+    its order."""
     n = g.n
     row_of_walk = np.repeat(np.arange(len(ks)) * n, R)
     keys, vals = [], []
@@ -139,6 +140,15 @@ def walk_rows(g: Graph, cfg: Config, ks: np.ndarray, R: int,
     key = np.concatenate(keys)
     return sp.csr_matrix((np.concatenate(vals), (key // n, key % n)),
                          shape=(len(ks), n))
+
+
+def _block_rows(g: Graph, cfg: Config, est_cfg: EstimationConfig,
+                ks: np.ndarray, seed):
+    """The rows W[j, :] of ks by ``weight_rows`` (exact; seed unread) or by
+    ``walk_rows`` on np.random.default_rng(seed), which keeps a Generator."""
+    if est_cfg.mode == "exact":
+        return weight_rows(g, cfg, ks)
+    return walk_rows(g, cfg, ks, est_cfg.R, np.random.default_rng(seed))
 
 
 def _row_terms(W, j: int, k: int, d: np.ndarray) -> tuple[float, float]:
@@ -160,11 +170,8 @@ def inner_estimates(g: Graph, cfg: Config, D: DiagonalCorrection, k: int,
     both are read off the one-source row W[k, :] of ``weight_rows`` (exact)
     or ``walk_rows`` (mc, squared empirical frequencies of R walks).
     """
-    ks = np.array([k])
-    if est_cfg.mode == "exact":
-        W = weight_rows(g, cfg, ks)
-    else:
-        W = walk_rows(g, cfg, ks, est_cfg.R, rng if rng is not None else cfg.rng())
+    W = _block_rows(g, cfg, est_cfg, np.array([k]),
+                    rng if rng is not None else cfg.seed)
     return _row_terms(W, 0, k, D.as_array())
 
 
@@ -187,17 +194,11 @@ def estimate_diagonal(g: Graph, cfg: Config,
             D.clamped += 1
         D.values[k] = clamped
 
-    def block_rows(ks: np.ndarray, sweep: int):
-        if est_cfg.mode == "exact":
-            return weight_rows(g, cfg, ks)
-        # one stream per (sweep, block), named by the block's first vertex
-        rng = np.random.default_rng([cfg.seed, sweep, int(ks[0])])
-        return walk_rows(g, cfg, ks, est_cfg.R, rng)
-
     size = None if est_cfg.mode == "exact" else max(1, WALK_BUDGET // est_cfg.R)
     for sweep in range(est_cfg.L):
         for ks in source_blocks(g.n, size):
-            W = block_rows(ks, sweep)
+            # mc: one stream per (sweep, block), named by its first vertex
+            W = _block_rows(g, cfg, est_cfg, ks, [cfg.seed, sweep, int(ks[0])])
             for j, k in enumerate(ks):
                 update(k, *_row_terms(W, j, k, D.values))
     D.params = _params(cfg, est_cfg, est_cfg.mode)

@@ -3,7 +3,7 @@
 Vertices are renumbered densely in first-appearance order; original ids are
 kept in a side table.  The transition matrix P is column-stochastic up to
 dangling columns: column v spreads mass uniformly over the in-neighbors I(v),
-and a vertex with no in-links absorbs walks.
+and a vertex with no in-links absorbs walks, which run on ``walk_steps``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from operator import methodcaller
 
 import numpy as np
 import scipy.sparse as sp
-
-ABSORBED = None
 
 
 class GraphParseError(ValueError):
@@ -329,38 +327,6 @@ def step(g: Graph, d: Distribution) -> Distribution:
     return Distribution(out)
 
 
-def sample_step(g: Graph, v: int, rng: np.random.Generator):
-    """One random in-link step from v; ABSORBED (None) if I(v) is empty."""
-    nbrs = g.in_index[v]
-    if not nbrs:
-        return ABSORBED
-    return nbrs[int(rng.integers(len(nbrs)))]
-
-
-def walk_positions(g: Graph, source: int, steps: int, R: int,
-                   rng: np.random.Generator) -> list[np.ndarray]:
-    """Simulate R in-link walks from source for `steps` steps, vectorized.
-
-    Returns, for t = 0..steps-1, an int64 count vector of length n over the
-    surviving walks' positions (absorbed walks excluded from later steps).
-    """
-    hists: list[np.ndarray] = []
-    pos = np.full(R, source, dtype=np.int64)
-    for _ in range(steps):
-        hists.append(np.bincount(pos, minlength=g.n).astype(np.int64))
-        deg = g.in_degree[pos]
-        alive = deg > 0
-        pos = pos[alive]
-        deg = deg[alive]
-        if pos.size == 0:
-            hists.extend(np.zeros(g.n, dtype=np.int64)
-                         for _ in range(steps - len(hists)))
-            break
-        idx = g.in_ptr[pos] + (rng.random(pos.size) * deg).astype(np.int64)
-        pos = g.in_adj[idx]
-    return hists
-
-
 def walk_steps(g: Graph, starts: np.ndarray, steps: int,
                rng: np.random.Generator):
     """Walk one in-link walk from each vertex of starts, all at once.
@@ -368,7 +334,8 @@ def walk_steps(g: Graph, starts: np.ndarray, steps: int,
     Yields, for t = 0..steps-1, the positions of the walks still alive at
     step t and their indices into starts, both in start order.  A walk at a
     vertex without in-links is absorbed and dropped from the next step on.
-    Each step draws rng.random(alive) in start order, as walk_positions does.
+    Each step but the last draws rng.random(k), one u per moving walk in
+    start order, and moves the walk at v to I(v)[floor(u |I(v)|)].
     """
     pos = np.asarray(starts, dtype=np.int64)
     walk = np.arange(len(pos))
@@ -385,17 +352,21 @@ def walk_steps(g: Graph, starts: np.ndarray, steps: int,
         pos = g.in_adj[g.in_ptr[pos] + (rng.random(pos.size) * deg).astype(np.int64)]
 
 
+def walk_positions(g: Graph, source: int, steps: int, R: int,
+                   rng: np.random.Generator) -> list[np.ndarray]:
+    """For t = 0..steps-1, the int64 position counts (length n) of the R
+    ``walk_steps`` walks from source alive at step t; zero once all are
+    absorbed."""
+    hists = [np.bincount(pos, minlength=g.n)
+             for pos, _ in walk_steps(g, np.full(R, source), steps, rng)]
+    hists.extend(np.zeros(g.n, dtype=np.int64) for _ in range(steps - len(hists)))
+    return hists
+
+
 def walk_trajectory(g: Graph, source: int, steps: int,
                     rng: np.random.Generator) -> list[int]:
     """Positions of a single walk at t = 0..steps; truncated early on absorption."""
-    path = [source]
-    v = source
-    for _ in range(steps):
-        v = sample_step(g, v, rng)
-        if v is ABSORBED:
-            break
-        path.append(v)
-    return path
+    return [int(pos[0]) for pos, _ in walk_steps(g, [source], steps + 1, rng)]
 
 
 def bfs_distances(g: Graph, source: int, max_d: int | None = None) -> dict[int, int]:

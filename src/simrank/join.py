@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .diag import DiagonalCorrection
 from .graph import Config, Graph
-from .mc import verify_pairs
+from .mc import check_verify_args, verify_pairs
 
 DEFAULT_MAX_ENTRIES = 2 * 10**8
 DEFAULT_BETA_SKIP = 100.0
@@ -45,22 +45,16 @@ def check_join_args(theta: float, gamma_acc: float = 0.0,
                     R_max: int = 1000) -> None:
     """Raise ValueError naming the first join argument that is out of range.
 
-    Every comparison is written so that nan fails it: theta must be in
-    (0, 1), as verification needs, gamma_acc in [0, 1), beta_skip (when
-    set) finite and positive, p in (0, 1), and the verification cap R_max at
-    least 1.
+    Every comparison is written so that nan fails it: theta, p and R_max as
+    ``mc.check_verify_args`` requires, gamma_acc in [0, 1) and beta_skip
+    (when set) finite and positive.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must be in (0,1), got {theta}")
+    check_verify_args(theta, p, R_max)
     if not 0.0 <= gamma_acc < 1.0:
         raise ValueError(f"gamma_acc must be in [0,1), got {gamma_acc}")
     if beta_skip is not None and not 0.0 < beta_skip < math.inf:
         raise ValueError(
             f"beta_skip must be positive and finite, got {beta_skip}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0,1), got {p}")
-    if not R_max >= 1:
-        raise ValueError(f"R_max must be >= 1, got {R_max}")
 
 
 def allocation_draw(a, beta_skip: float, rng: np.random.Generator):

@@ -25,17 +25,34 @@ VERIFY_CHUNK = 64
 VERIFY_BUDGET = 2**13
 
 
+def check_walk_count(R: int) -> None:
+    """Raise ValueError unless a walk estimator's R is at least 1."""
+    if not R >= 1:
+        raise ValueError(f"R must be >= 1, got {R}")
+
+
+def check_verify_args(theta: float, p: float, R_max: int) -> None:
+    """Raise ValueError naming the first verification argument out of range:
+    theta and p must be in (0, 1) and R_max at least 1; nan fails each."""
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must be in (0,1), got {theta}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0,1), got {p}")
+    if not R_max >= 1:
+        raise ValueError(f"R_max must be >= 1, got {R_max}")
+
+
 def mc_single_pair(g: Graph, cfg: Config, D: DiagonalCorrection,
                    i: int, j: int, R: int, rng: np.random.Generator) -> float:
     """sum_t c^t sum_w D_ww count_i(w,t) count_j(w,t) / R^2 from two batches."""
+    check_walk_count(R)
     if i == j:
         return 1.0
     dvals = D.as_array()
-    hists_i = walk_positions(g, i, cfg.T, R, rng)
-    hists_j = walk_positions(g, j, cfg.T, R, rng)
     score = 0.0
     weight = 1.0
-    for hi, hj in zip(hists_i, hists_j):
+    for hi, hj in zip(walk_positions(g, i, cfg.T, R, rng),
+                      walk_positions(g, j, cfg.T, R, rng)):
         score += weight * float(np.sum(dvals * hi * hj)) / (R * R)
         weight *= cfg.c
     return score
@@ -50,8 +67,7 @@ def mc_single_source(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,
     E[h_t / R] = P^t e_u and the fold is linear.  O(R T) walk steps plus
     T-1 sparse products P^T x.
     """
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    check_walk_count(R)
     scale = D.as_array() / R
     return fold_series(g, cfg, [scale * h
                                 for h in walk_positions(g, u, cfg.T, R, rng)])
@@ -138,13 +154,7 @@ def verify_pairs(g: Graph, cfg: Config, pairs, theta: float, p: float,
     while still reporting the side.  For one pair the draws, and so the
     result, are those of sampling that pair alone, chunk by chunk.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must be in (0,1), got {theta}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0,1), got {p}")
-    if R_max < 1:
-        raise ValueError(f"R_max must be >= 1, got {R_max}")
-
+    check_verify_args(theta, p, R_max)
     ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     bar = math.log(1.0 / p) / 2.0 * (cfg.c / (1.0 - cfg.c)) ** 2
     total = np.zeros(len(ij))

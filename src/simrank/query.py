@@ -17,19 +17,13 @@ DEFAULT_OUTPUT_THRESHOLD = 1e-4
 
 def single_pair(g: Graph, cfg: Config, D: DiagonalCorrection,
                 i: int, j: int) -> float:
-    """s^(T)(i,j) = sum_{t<T} c^t (P^t e_i)^T D (P^t e_j)."""
+    """s^(T)(i,j) = sum_{t<T} c^t (P^t e_i)^T D (P^t e_j), over the two
+    ``propagate`` streams of i and j."""
     dvals = D.as_array()
-    P = g.P
-    x = np.zeros(g.n)
-    y = np.zeros(g.n)
-    x[i] = 1.0
-    y[j] = 1.0
     score = 0.0
     weight = 1.0
-    for _ in range(cfg.T):
+    for x, y in zip(propagate(g, cfg, i), propagate(g, cfg, j)):
         score += weight * float(np.dot(x * dvals, y))
-        x = P @ x
-        y = P @ y
         weight *= cfg.c
     return score
 

@@ -77,23 +77,18 @@ def build_alpha_beta(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,
         dist_arr[w] = d
 
     alpha = np.zeros((d_max + 1, cfg.T))
-    x = np.zeros(g.n)
-    x[u] = 1.0
-    P = g.P
-    for t in range(cfg.T):
+    for t, x in enumerate(propagate(g, cfg, u)):
         supp = np.nonzero(x)[0]
         known = supp[dist_arr[supp] >= 0]
         np.maximum.at(alpha[:, t], dist_arr[known], dvals[known] * x[known])
-        x = P @ x
 
     beta = np.zeros(d_max + 1)
     weights = cfg.c ** np.arange(cfg.T)
     for d in range(d_max + 1):
         acc = 0.0
         for t in range(cfg.T):
-            lo = max(d - t, 0)
-            hi = min(d + t, d_max)
-            acc += weights[t] * float(np.max(alpha[lo:hi + 1, t]))
+            # rows d-t..d+t, clipped to 0..d_max
+            acc += weights[t] * float(np.max(alpha[max(d - t, 0):d + t + 1, t]))
         beta[d] = acc
     return AlphaBeta(u, alpha, beta)
 

@@ -124,6 +124,24 @@ class TestQuery:
             assert err.startswith("error: --threshold") and "nan" in err
             assert not out_path.exists()
 
+    @pytest.mark.parametrize("request_args", [["pair", "0", "1"],
+                                              ["pair", "1", "1"],
+                                              ["source", "1"]])
+    @pytest.mark.parametrize("R", ["0", "-3"])
+    def test_mc_walk_count_checked_before_the_diagonal(
+            self, capsys, monkeypatch, star_file, star_diag, request_args, R):
+        def untouched(*args, **kwargs):
+            raise AssertionError("diagonal touched")
+        monkeypatch.setattr(cli, "load_diagonal", untouched)
+        monkeypatch.setattr(cli, "estimate_diagonal", untouched)
+        for diag in (["--diag", star_diag], []):
+            code, out, err = run(capsys, ["query", "--graph", star_file,
+                                          "--c", "0.8", "--T", "40", *diag,
+                                          *request_args, "--estimator", "mc",
+                                          "--R", R])
+            assert code == 1 and out == ""
+            assert err == f"error: R must be >= 1, got {R}\n"
+
     def test_wrong_arity(self, capsys, star_file):
         code, _, err = run(capsys, ["query", "--graph", star_file, "pair", "1"])
         assert code == 1 and "vertex argument" in err
@@ -198,6 +216,22 @@ class TestTopk:
                                     "--R", "50", "--source", "1", "--k", "2"])
         assert code == 0
         assert [line.split("\t")[0] for line in out.splitlines()] == ["2", "3"]
+
+
+    @pytest.mark.parametrize("R", ["0", "-3"])
+    def test_mc_walk_count_checked_before_the_diagonal(
+            self, capsys, monkeypatch, star_file, star_diag, R):
+        def untouched(*args, **kwargs):
+            raise AssertionError("diagonal touched")
+        monkeypatch.setattr(cli, "load_diagonal", untouched)
+        monkeypatch.setattr(cli, "estimate_diagonal", untouched)
+        for diag in (["--diag", star_diag], []):
+            code, out, err = run(capsys, ["topk", "--graph", star_file,
+                                          "--c", "0.8", "--T", "40", *diag,
+                                          "--source", "1", "--k", "2",
+                                          "--estimator", "mc", "--R", R])
+            assert code == 1 and out == ""
+            assert err == f"error: R must be >= 1, got {R}\n"
 
 
 class TestJoin:

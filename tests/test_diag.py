@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 import simrank as sr
 from simrank import diag
 from simrank.diag import DiagonalCorrection, EstimationConfig, inner_estimates
-from simrank.graph import walk_positions, walk_steps
+from simrank.graph import walk_steps
 
+import walk_reference
 from conftest import make_graph
 
 
@@ -49,10 +50,10 @@ def recount_rows(g, cfg, ks, R, rng):
 
 
 def hist_inner_estimates(g, cfg, D, k, R, rng):
-    """MC (a, b) from walk_positions histograms, one source (reference)."""
+    """MC (a, b) from the reference walk_positions histograms, one source."""
     a = b = 0.0
     weight = 1.0
-    for hist in walk_positions(g, k, cfg.T, R, rng):
+    for hist in walk_reference.walk_positions(g, k, cfg.T, R, rng):
         p = hist / R
         a += weight * float(p[k]) ** 2
         b += weight * float(np.sum(p * p * D.values))

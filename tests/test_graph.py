@@ -11,6 +11,7 @@ import simrank as sr
 from simrank.graph import walk_positions, walk_steps, walk_trajectory
 
 import edge_list_reference as reference
+import walk_reference
 from conftest import STAR_EDGES, make_graph
 
 
@@ -247,10 +248,6 @@ class TestTransition:
 
 
 class TestWalks:
-    def test_sample_step_absorbs_on_dangling(self):
-        g = sr.load_edge_list("0 1\n")  # I(0) is empty
-        assert sr.sample_step(g, 0, np.random.default_rng(0)) is None
-
     def test_walk_positions_step_zero_and_conservation(self, star):
         hists = walk_positions(star, 1, 3, 50, np.random.default_rng(0))
         assert hists[0][1] == 50 and hists[0].sum() == 50
@@ -287,7 +284,8 @@ class TestWalks:
         rng = np.random.default_rng(seed)
         g = make_graph(rng, n, int(rng.integers(0, n * (n - 1) + 1)))
         u = int(rng.integers(n))
-        hists = walk_positions(g, u, steps, R, np.random.default_rng(seed))
+        hists = walk_reference.walk_positions(g, u, steps, R,
+                                              np.random.default_rng(seed))
         batch = list(walk_steps(g, np.full(R, u), steps,
                                 np.random.default_rng(seed)))
         assert len(batch) <= steps
@@ -295,6 +293,12 @@ class TestWalks:
             pos, walk = batch[t] if t < len(batch) else ([], [])
             assert np.array_equal(np.bincount(pos, minlength=n), hist)
             assert np.all(np.diff(walk) > 0)  # survivors stay in start order
+        # the kernel's histograms, zero-padded after absorption, are the
+        # reference's exactly
+        got = walk_positions(g, u, steps, R, np.random.default_rng(seed))
+        assert len(got) == steps
+        for new, old in zip(got, hists):
+            assert new.dtype == np.int64 and np.array_equal(new, old)
 
     def test_walk_steps_index_into_starts(self):
         g = sr.load_edge_list("0 1\n1 2\n")  # I(1) = {0}, I(2) = {1}

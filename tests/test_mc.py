@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import simrank as sr
 from simrank import mc
 from simrank.graph import walk_positions
+from simrank.join import check_join_args
 from simrank.mc import meeting_time_samples
 
 from conftest import make_graph
@@ -96,6 +97,13 @@ class TestMcSinglePair:
         exact = sr.single_pair(g, cfg, D, 0, 1)
         est = sr.mc_single_pair(g, cfg, D, 0, 1, 20000, cfg.rng())
         assert est == pytest.approx(exact, abs=0.02)
+
+    @pytest.mark.parametrize("i, j", [(1, 2), (2, 2)])
+    @pytest.mark.parametrize("R", [0, -3])
+    def test_rejects_no_walks(self, star_exact, i, j, R):
+        g, cfg, D = star_exact
+        with pytest.raises(ValueError, match=f"R must be >= 1, got {R}"):
+            sr.mc_single_pair(g, cfg, D, i, j, R, cfg.rng())
 
 
 @st.composite
@@ -207,6 +215,17 @@ class TestVerifyPair:
             sr.verify_pair(g, cfg, 1, 2, 0.5, 0.0, 10, cfg.rng())
         with pytest.raises(ValueError, match="R_max"):
             sr.verify_pair(g, cfg, 1, 2, 0.5, 0.01, 0, cfg.rng())
+
+    @pytest.mark.parametrize("theta, p, R_max", [
+        (1.0, 0.01, 10), (np.nan, 0.01, 10), (0.5, 0.0, 10),
+        (0.5, np.nan, 10), (0.5, 0.01, 0)])
+    def test_join_checks_the_same_rules(self, star_exact, theta, p, R_max):
+        g, cfg, _ = star_exact
+        with pytest.raises(ValueError) as verify:
+            sr.verify_pairs(g, cfg, [(1, 2)], theta, p, R_max, cfg.rng())
+        with pytest.raises(ValueError) as joined:
+            check_join_args(theta, p=p, R_max=R_max)
+        assert str(joined.value) == str(verify.value)
 
     def test_stricter_p_needs_more_samples(self, seven):
         g, idx = seven

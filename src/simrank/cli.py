@@ -109,8 +109,11 @@ def cmd_query(args) -> int:
             raise ValueError("allpairs requires --out")
         if not np.isfinite(args.threshold):
             raise ValueError(f"--threshold must be finite, got {args.threshold}")
+        if args.estimator == "mc":
+            raise ValueError("allpairs has no Monte-Carlo estimator; "
+                             "drop --estimator mc")
     mc = args.estimator == "mc"
-    if mc and args.submode != "allpairs":
+    if mc:
         check_walk_count(args.R)
     D = _diagonal(args, g, cfg)
     rng = cfg.rng()
@@ -230,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vertices", type=int, nargs="*",
                    help="i j for pair, i for source, none for allpairs")
     p.add_argument("--diag", help="diagonal file (default: exact estimate)")
-    p.add_argument("--estimator", choices=("exact", "mc"), default="exact")
+    p.add_argument("--estimator", choices=("exact", "mc"), default="exact",
+                   help="mc for pair and source only")
     p.add_argument("--R", type=int, default=100, help="walks per mc estimate")
     p.add_argument("--out", help="output file (allpairs)")
     p.add_argument("--threshold", type=float, default=DEFAULT_OUTPUT_THRESHOLD,

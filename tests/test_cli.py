@@ -124,6 +124,26 @@ class TestQuery:
             assert err.startswith("error: --threshold") and "nan" in err
             assert not out_path.exists()
 
+    @pytest.mark.parametrize("R", ["0", "100"])
+    def test_allpairs_refuses_mc_before_the_diagonal(
+            self, capsys, monkeypatch, star_file, star_diag, tmp_path, R):
+        """allpairs has exact scores only: --estimator mc is refused, not
+        ignored, before the diagonal is read or estimated and before --out
+        is opened."""
+        def untouched(*args, **kwargs):
+            raise AssertionError("diagonal touched")
+        monkeypatch.setattr(cli, "load_diagonal", untouched)
+        monkeypatch.setattr(cli, "estimate_diagonal", untouched)
+        out_path = tmp_path / "ap.tsv"
+        for diag in (["--diag", star_diag], []):
+            code, out, err = run(capsys, ["query", "--graph", star_file,
+                                          "--c", "0.8", "--T", "40", *diag,
+                                          "allpairs", "--estimator", "mc",
+                                          "--R", R, "--out", str(out_path)])
+            assert code == 1 and out == ""
+            assert err.startswith("error: allpairs") and "--estimator mc" in err
+            assert not out_path.exists()
+
     @pytest.mark.parametrize("request_args", [["pair", "0", "1"],
                                               ["pair", "1", "1"],
                                               ["source", "1"]])

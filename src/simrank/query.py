@@ -7,13 +7,8 @@ by at most c^T / (1 - c).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-
 import numpy as np
 
-from . import diag
 from .diag import DiagonalCorrection, propagate, source_blocks
 from .graph import Config, Graph
 
@@ -156,52 +151,35 @@ def all_pairs(g: Graph, cfg: Config, D: DiagonalCorrection, sink,
               threshold: float = DEFAULT_OUTPUT_THRESHOLD) -> int:
     """Stream "i<TAB>j<TAB>score" rows for entries >= threshold, sorted by (i, j).
 
-    Sources go through ``source_columns`` in consecutive blocks of
-    max(1, BLOCK_BUDGET // (n cpus)) sources, cpus being the CPUs this
-    process may run on.  The blocks are taken in groups of cpus: a pool of
-    cpus - 1 threads computes all but the last block of a group while the
-    calling thread computes the last, so the kernel's extra memory in
-    flight stays near T * BLOCK_BUDGET doubles for any n and any cpus.  A
-    block's rows come from one ``np.nonzero`` over the block and one
-    ``tsv_rows`` call; the calling thread writes the group's text to sink
-    in source order, so the bytes do not depend on cpus, and the writer's
-    extra memory is O(rows of one group).  One CPU starts no pool.  An
-    exception from a block or from sink propagates after the pool's threads
-    have ended.  threshold 0 emits every entry; a non-finite threshold
-    raises ValueError.  Returns the row count.
+    Sources go in the blocks of ``diag.source_blocks`` through the kernel of
+    ``source_columns``: the forward stack D P^t E_ks for t < T, folded by
+    ``fold_series``.  The stack is one T x n x (block size) array made once
+    and refilled by every block, so the kernel's extra memory stays near
+    T * BLOCK_BUDGET doubles for any n, and the export does not free and
+    allocate T block-sized arrays per block (the allocator can hand freed
+    memory back to the kernel, and every page of it then faults in again).
+    Each block's rows come from one ``np.nonzero`` over the transposed
+    view of the block (no copy) and are written by one ``tsv_rows`` call,
+    so the writer's extra memory is O(rows of one block).  threshold 0
+    emits every entry; a non-finite threshold raises ValueError.  Returns
+    the row count.
     """
     if not np.isfinite(threshold):
         raise ValueError(f"all-pairs threshold must be finite, got {threshold}")
-    cpus = _cpus()
-    blocks = list(source_blocks(
-        g.n, max(1, diag.BLOCK_BUDGET // (max(g.n, 1) * cpus))))
-    g.P, g.PT  # built here, before the pool's threads could race to build them
-
-    # runs on the pool's threads: it calls nothing that bench/tracing.py
-    # spans, as the tracer keeps one span stack for all threads
-    def block_rows(ks: np.ndarray) -> tuple[str, int]:
-        C = source_columns(g, cfg, D, ks).T
-        r, js = np.nonzero(C >= threshold)
-        return tsv_rows((ks[r], js), C[r, js]), len(js)
-
+    dvals = D.as_array()[:, None]
+    stack = None
     rows = 0
-    with ThreadPoolExecutor(cpus - 1) if cpus > 1 else nullcontext() as pool:
-        for at in range(0, len(blocks), cpus):
-            *theirs, mine = blocks[at:at + cpus]
-            futures = [pool.submit(block_rows, ks) for ks in theirs]
-            last = block_rows(mine)
-            for text, count in [f.result() for f in futures] + [last]:
-                sink.write(text)
-                rows += count
+    for ks in source_blocks(g.n):
+        if stack is None:  # the first block is the widest
+            stack = np.empty((cfg.T, g.n, len(ks)))
+        layers = list(stack[:, :, :len(ks)])
+        for X, layer in zip(propagate(g, cfg, ks), layers):
+            np.multiply(dvals, X, out=layer)
+        C = fold_series(g, cfg, layers).T
+        r, js = np.nonzero(C >= threshold)
+        sink.write(tsv_rows((ks[r], js), C[r, js]))
+        rows += len(js)
     return rows
-
-
-def _cpus() -> int:
-    """The CPUs in this process's affinity mask, else the machine's."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def dense_truncated(g: Graph, cfg: Config, D: DiagonalCorrection) -> np.ndarray:

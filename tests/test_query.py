@@ -1,7 +1,4 @@
 import io
-import threading
-import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -107,7 +104,7 @@ def _per_column_all_pairs(g, cfg, D, sink, threshold):
 
 
 def tiny_case(n):
-    """A query case on n <= 2 vertices, fewer than the CPUs tested."""
+    """A query case on n <= 2 vertices."""
     rng = np.random.default_rng(n)
     g = make_graph(rng, n, n - 1)
     return g, sr.Config(c=0.6, T=5), sr.DiagonalCorrection(
@@ -146,99 +143,38 @@ class TestSourceColumns:
     @example(case=tiny_case(1))
     @example(case=tiny_case(2))
     def test_all_pairs_bytes_equal_per_column_loop(self, case):
-        """The same bytes for every block size on 1, 2 or 3 CPUs, fewer
-        vertices than CPUs included."""
+        """The same bytes for every block size, n = 1 and n = 2 included."""
         g, cfg, D, _ = case
         for threshold in (0.0, 1e-4, 0.3):
             want = io.StringIO()
             want_rows = _per_column_all_pairs(g, cfg, D, want, threshold)
             for size in (1, 3, g.n):
-                for cpus in (1, 2, 3):
-                    got = io.StringIO()
-                    with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(sr.diag, "BLOCK_BUDGET", size * g.n)
-                        mp.setattr(sr.query, "_cpus", lambda k=cpus: k)
-                        assert sr.all_pairs(g, cfg, D, got,
-                                            threshold) == want_rows
-                    assert got.getvalue() == want.getvalue()
+                got = io.StringIO()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(sr.diag, "BLOCK_BUDGET", size * g.n)
+                    assert sr.all_pairs(g, cfg, D, got, threshold) == want_rows
+                assert got.getvalue() == want.getvalue()
 
+    def test_all_pairs_refills_one_stack(self, monkeypatch):
+        """Every block folds layers of the one stack made for the first
+        block, the last (narrower) block included."""
+        rng = np.random.default_rng(3)
+        g = make_graph(rng, 10, 30)
+        cfg = sr.Config(c=0.6, T=4)
+        D = sr.DiagonalCorrection(rng.uniform(0.4, 1.0, 10))
+        monkeypatch.setattr(sr.diag, "BLOCK_BUDGET", 3 * 10)
+        seen = []
+        fold_series = sr.query.fold_series
 
-class TestAllPairsThreads:
-    """all_pairs on two CPUs, one source per block: the pool computes the
-    even sources and the calling thread the odd ones."""
-
-    @pytest.fixture
-    def case(self, monkeypatch):
-        monkeypatch.setattr(sr.query, "_cpus", lambda: 2)
-        monkeypatch.setattr(sr.diag, "BLOCK_BUDGET", 2 * 20)
-        rng = np.random.default_rng(5)
-        g = make_graph(rng, 20, 60)  # P and PT not built yet
-        return g, sr.Config(c=0.6, T=6), sr.DiagonalCorrection(
-            rng.uniform(0.4, 1.0, 20))
-
-    @pytest.mark.parametrize("bad, on_caller", [(6, False), (7, True)])
-    def test_block_error_propagates(self, case, monkeypatch, bad, on_caller):
-        g, cfg, D = case
-        error = RuntimeError("block failed")
-        threads = []
-        source_columns = sr.query.source_columns
-
-        def failing(g, cfg, D, ks):
-            if bad in ks:
-                threads.append(threading.current_thread())
-                raise error
-            return source_columns(g, cfg, D, ks)
-        monkeypatch.setattr(sr.query, "source_columns", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError) as info:
-            sr.all_pairs(g, cfg, D, io.StringIO())
-        assert info.value is error
-        assert len(threads) == 1
-        assert (threads[0] is threading.current_thread()) == on_caller
-        assert threading.active_count() == before
-
-    def test_sink_error_propagates(self, case):
-        g, cfg, D = case
-        error = OSError("disk full")
-
-        class Sink:
-            writes = 0
-
-            def write(self, text):
-                self.writes += 1
-                if self.writes == 3:
-                    raise error
-        before = threading.active_count()
-        with pytest.raises(OSError) as info:
-            sr.all_pairs(g, cfg, D, Sink())
-        assert info.value is error
-        assert threading.active_count() == before
-
-    def test_transition_matrices_built_once(self, case, monkeypatch):
-        g, cfg, D = case
-        builds = Counter()
-        for name in ("P", "PT"):
-            def fget(g, name=name, built=getattr(sr.Graph, name).fget):
-                if getattr(g, "_" + name) is None:
-                    builds[name] += 1
-                    time.sleep(0.01)  # a racing thread would build it too
-                return built(g)
-            monkeypatch.setattr(sr.Graph, name, property(fget))
+        def recording(g, cfg, stack):
+            seen.append(list(stack))  # kept alive: a fresh array can't reuse it
+            return fold_series(g, cfg, stack)
+        monkeypatch.setattr(sr.query, "fold_series", recording)
         sr.all_pairs(g, cfg, D, io.StringIO())
-        assert builds == {"P": 1, "PT": 1}
-
-    def test_one_cpu_starts_no_pool(self, case, monkeypatch):
-        g, cfg, D = case
-        want = io.StringIO()
-        sr.all_pairs(g, cfg, D, want)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("pool started")
-        monkeypatch.setattr(sr.query, "_cpus", lambda: 1)
-        monkeypatch.setattr(sr.query, "ThreadPoolExecutor", no_pool)
-        got = io.StringIO()
-        sr.all_pairs(g, cfg, D, got)
-        assert got.getvalue() == want.getvalue()
+        assert [len(layers) for layers in seen] == [4] * 4
+        assert [layers[0].shape[1] for layers in seen] == [3, 3, 3, 1]
+        assert all(np.shares_memory(layer, seen[0][t])
+                   for layers in seen for t, layer in enumerate(layers))
 
 
 def percent_rows(ids, scores):

@@ -24,7 +24,7 @@ import numpy as np
 from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
                    load_diagonal, residual_norm, save_diagonal,
                    source_blocks)
-from .graph import Config, Graph, load_edge_list
+from .graph import Config, Graph, check_vertex, load_edge_list
 from .join import check_join_args, join
 from .mc import check_walk_count, mc_single_pair, mc_single_source
 from .oracle import naive_simrank
@@ -103,7 +103,7 @@ def cmd_query(args) -> int:
             f"query {args.submode} takes {expected} vertex argument(s), "
             f"got {len(args.vertices)}")
     for v in args.vertices:
-        _check_vertex(g, v)
+        check_vertex(g, v)
     if args.submode == "allpairs":
         if not args.out:
             raise ValueError("allpairs requires --out")
@@ -137,7 +137,7 @@ def cmd_query(args) -> int:
 
 def cmd_topk(args) -> int:
     g, cfg = _load_graph(args)
-    _check_vertex(g, args.source)
+    check_vertex(g, args.source)
     mc = args.estimator == "mc"
     if mc:
         check_walk_count(args.R)
@@ -202,17 +202,12 @@ def cmd_accuracy(args) -> int:
             if len(parts) != 3:
                 raise ValueError(f"{args.scores}:{lineno}: expected 'i<TAB>j<TAB>score'")
             i, j, s = int(parts[0]), int(parts[1]), float(parts[2])
-            _check_vertex(g, i)
-            _check_vertex(g, j)
+            check_vertex(g, i)
+            check_vertex(g, j)
             S_est[i, j] = s
     me = float(np.abs(S_est - S_true).sum() / (g.n * g.n))
     print(f"{me:.9f}")
     return 0
-
-
-def _check_vertex(g: Graph, v: int) -> None:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for graph with {g.n} vertices")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -121,6 +121,13 @@ class Graph:
         return self.P.toarray()
 
 
+def check_vertex(g: Graph, v: int) -> None:
+    """Raise ValueError unless v is a vertex index of g, 0 <= v < n; a query
+    calls it first, so a negative id does not wrap to the end of an array."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for graph with {g.n} vertices")
+
+
 def _split(adj: np.ndarray, ptr: np.ndarray) -> list[list[int]]:
     """[adj[ptr[v]:ptr[v + 1]] for every v], as lists of ints."""
     flat = adj.tolist()

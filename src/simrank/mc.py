@@ -1,7 +1,7 @@
 """Monte-Carlo estimators and adaptive pair verification.
 
 Two families: estimation over the series expansion from batches of in-link
-walks (one pair from two batches, one source column from one batch), and
+walks (one pair or one source column from one batch each), and
 first-meeting-time sampling of coupled walks, where the score equals
 E[c^tau] for the first step tau at which the walks coincide.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diag import DiagonalCorrection
-from .graph import Config, Graph, walk_positions
+from .graph import Config, Graph, check_vertex, walk_positions, walk_steps
 from .query import fold_series
 
 VERIFY_CHUNK = 64
@@ -44,18 +44,31 @@ def check_verify_args(theta: float, p: float, R_max: int) -> None:
 
 def mc_single_pair(g: Graph, cfg: Config, D: DiagonalCorrection,
                    i: int, j: int, R: int, rng: np.random.Generator) -> float:
-    """sum_t c^t sum_w D_ww count_i(w,t) count_j(w,t) / R^2 from two batches."""
+    """sum_t c^t sum_w D_ww count_i(w,t) count_j(w,t) / R^2 from one batch.
+
+    The R walks from i and the R from j run together on ``walk_steps``, i's
+    first, so each step's alive walks split at the first index >= R.  Each
+    step counts i's positions in one bincount and reads the count at every
+    position of j: O(R T) walk steps plus one length-n bincount per step.
+    The loop stops once either side is absorbed, as every later term is 0.
+    """
     check_walk_count(R)
+    check_vertex(g, i)
+    check_vertex(g, j)
     if i == j:
         return 1.0
     dvals = D.as_array()
     score = 0.0
     weight = 1.0
-    for hi, hj in zip(walk_positions(g, i, cfg.T, R, rng),
-                      walk_positions(g, j, cfg.T, R, rng)):
-        score += weight * float(np.sum(dvals * hi * hj)) / (R * R)
+    for pos, walk in walk_steps(g, np.repeat([i, j], R), cfg.T, rng):
+        split = int(np.searchsorted(walk, R))
+        if split == 0 or split == walk.size:
+            break
+        pos_j = pos[split:]
+        hist_i = np.bincount(pos[:split], minlength=g.n)
+        score += weight * float(dvals[pos_j] @ hist_i[pos_j])
         weight *= cfg.c
-    return score
+    return score / (R * R)
 
 
 def mc_single_source(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,
@@ -68,6 +81,7 @@ def mc_single_source(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,
     T-1 sparse products P^T x.
     """
     check_walk_count(R)
+    check_vertex(g, u)
     scale = D.as_array() / R
     return fold_series(g, cfg, [scale * h
                                 for h in walk_positions(g, u, cfg.T, R, rng)])

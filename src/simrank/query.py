@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .diag import DiagonalCorrection, propagate, source_blocks
-from .graph import Config, Graph
+from .graph import Config, Graph, check_vertex
 
 DEFAULT_OUTPUT_THRESHOLD = 1e-4
 
@@ -19,6 +19,8 @@ def single_pair(g: Graph, cfg: Config, D: DiagonalCorrection,
                 i: int, j: int) -> float:
     """s^(T)(i,j) = sum_{t<T} c^t (P^t e_i)^T D (P^t e_j), over the two
     ``propagate`` streams of i and j."""
+    check_vertex(g, i)
+    check_vertex(g, j)
     dvals = D.as_array()
     score = 0.0
     weight = 1.0
@@ -67,12 +69,13 @@ def tsv_rows(ids, scores) -> str:
 
     Vectorized: each field is written one digit position at a time into a
     (rows, width) byte array, leading zeros are masked off and one boolean
-    compress joins the rows.  The six decimals are floor(|x| 1e6 + 0.5); an
-    entry whose |x| 1e6 lies within 1e-6 of a half-integer, where the float
-    product can fall on the wrong side of the tie that '%.6f' breaks on the
-    exact binary value, is rounded by '%.6f' itself.  A score that is not
-    finite or has |x| >= 1e3 sends the whole call through the '%' format
-    string.
+    compress joins the rows, which are decoded from it without a bytes
+    copy; each row-length temporary is dropped once read.  The six decimals
+    are floor(|x| 1e6 + 0.5); an entry whose |x| 1e6 lies within 1e-6 of a
+    half-integer, where the float product can fall on the wrong side of the
+    tie that '%.6f' breaks on the exact binary value, is rounded by '%.6f'
+    itself.  A score that is not finite or has |x| >= 1e3 sends the whole
+    call through the '%' format string.
     """
     ids = [np.asarray(col) for col in ids]
     scores = np.asarray(scores, dtype=np.float64)
@@ -91,19 +94,23 @@ def tsv_rows(ids, scores) -> str:
     np.floor(rounded, out=rounded)
     q = rounded.astype(np.uint32)
     rounded -= scaled  # within 1e-6 of +-1/2 at a near tie
+    del scaled
     np.abs(rounded, out=rounded)
     near = np.flatnonzero(np.abs(rounded - 0.5) < 1e-6)
+    del rounded
     if near.size:
         q[near] = [int(("%.6f" % x).replace(".", "")) for x in mag[near].tolist()]
+    del mag
     whole = q // np.uint32(10**6)
     frac = q - whole * np.uint32(10**6)
+    del q
     cols = [col.astype(np.uint32) for col in ids]
     widths = [_digits(v) for v in cols]
     whole_width = _digits(whole)
     # ids and their tabs, the sign, the whole part, '.', 6 decimals, '\n'
     width = sum(widths) + len(widths) + 1 + whole_width + 8
-    out = np.empty((len(q), width), dtype=np.uint8)
-    keep = np.ones((len(q), width), dtype=bool)
+    out = np.empty((len(scores), width), dtype=np.uint8)
+    keep = np.ones((len(scores), width), dtype=bool)
     at = 0
     for v, w in zip(cols, widths):
         at = _put_digits(out, keep, at, v, w)
@@ -112,10 +119,14 @@ def tsv_rows(ids, scores) -> str:
     out[:, at] = ord("-")
     keep[:, at] = np.signbit(scores)
     at = _put_digits(out, keep, at + 1, whole, whole_width)
+    del whole
     out[:, at] = ord(".")
     at = _put_digits(out, keep, at + 1, frac, 6, pad=True)
+    del frac
     out[:, at] = ord("\n")
-    return out[keep].tobytes().decode("ascii")
+    text = out[keep]
+    del out, keep
+    return str(text, "ascii")
 
 
 def _digits(v: np.ndarray) -> int:
@@ -144,6 +155,7 @@ def single_source(g: Graph, cfg: Config, D: DiagonalCorrection,
                   i: int) -> np.ndarray:
     """The length-n column S e_i truncated at T terms: ``source_columns``'s
     one-source case, O(T m) time and O(T n) extra memory."""
+    check_vertex(g, i)
     return source_columns(g, cfg, D, i)
 
 

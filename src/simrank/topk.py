@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .diag import WALK_BUDGET, DiagonalCorrection, propagate, source_blocks
-from .graph import Config, Graph, bfs_distances, walk_steps
+from .graph import Config, Graph, bfs_distances, check_vertex, walk_steps
 from .mc import mc_single_source
 from .query import single_source
 
@@ -193,6 +193,7 @@ def topk_query(g: Graph, cfg: Config, D: DiagonalCorrection,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    check_vertex(g, u)
     allowed = None if index is None else index.candidates.get(u, set())
     if adaptive is None:
         col = single_source(g, cfg, D, u)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import simrank as sr
 from simrank import mc
-from simrank.graph import walk_positions
+from simrank.graph import walk_positions, walk_steps
 from simrank.join import check_join_args
 from simrank.mc import meeting_time_samples
 
@@ -104,6 +104,68 @@ class TestMcSinglePair:
         g, cfg, D = star_exact
         with pytest.raises(ValueError, match=f"R must be >= 1, got {R}"):
             sr.mc_single_pair(g, cfg, D, i, j, R, cfg.rng())
+
+
+def pair_reference(g, cfg, dvals, i, j, R, rng):
+    """sum_t c^t sum_w D_w cnt_i(w,t) cnt_j(w,t) / R^2 over the walks of
+    walk_steps(g, np.repeat([i, j], R), T, rng), two full bincounts a step."""
+    score = 0.0
+    for t, (pos, walk) in enumerate(walk_steps(g, np.repeat([i, j], R), cfg.T,
+                                               rng)):
+        cnt_i = np.bincount(pos[walk < R], minlength=g.n)
+        cnt_j = np.bincount(pos[walk >= R], minlength=g.n)
+        score += cfg.c ** t * float(np.sum(dvals * cnt_i * cnt_j)) / (R * R)
+    return score
+
+
+@st.composite
+def pair_cases(draw):
+    """A random digraph, possibly with dangling vertices, two distinct
+    vertices on it, a walk count and a seed."""
+    n = draw(st.integers(2, 25))
+    m = draw(st.integers(0, min(n * (n - 1), 3 * n)))
+    g = make_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, m)
+    cfg = sr.Config(c=draw(st.floats(0.1, 0.9)), T=draw(st.integers(1, 12)))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                         unique=True))
+    return (g, cfg, i, j, draw(st.integers(1, 60)),
+            draw(st.integers(0, 10**6)))
+
+
+# 1 <- 0 and 2 <- 0, so the two sides meet at 0 on step 1; then each walk
+# goes to the dangling 4, where it is absorbed, or into the cycle 3 <-> 5
+ONE_SIDE_ABSORBED = "0 1\n0 2\n4 0\n3 0\n5 3\n3 5\n"
+
+
+class TestMcSinglePairWalks:
+    @settings(max_examples=150, deadline=None)
+    @given(case=pair_cases())
+    def test_equals_the_two_histogram_sum_on_its_walks(self, case):
+        g, cfg, i, j, R, seed = case
+        d = np.random.default_rng([seed, 1]).uniform(1 - cfg.c, 1.0, g.n)
+        got = sr.mc_single_pair(g, cfg, sr.DiagonalCorrection(d), i, j, R,
+                                np.random.default_rng(seed))
+        ref = pair_reference(g, cfg, d, i, j, R, np.random.default_rng(seed))
+        assert abs(got - ref) <= 1e-12
+
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    def test_one_side_absorbed_first(self, R):
+        g = sr.load_edge_list(ONE_SIDE_ABSORBED)
+        cfg = sr.Config(c=0.6, T=8)
+        d = np.linspace(0.5, 1.0, g.n)
+        i, j = g.original_ids.index(1), g.original_ids.index(2)
+        lone = 0  # seeds on which one side outlives the other
+        for seed in range(20):
+            got = sr.mc_single_pair(g, cfg, sr.DiagonalCorrection(d), i, j, R,
+                                    np.random.default_rng(seed))
+            ref = pair_reference(g, cfg, d, i, j, R,
+                                 np.random.default_rng(seed))
+            assert abs(got - ref) <= 1e-12
+            assert ref >= cfg.c * d[g.original_ids.index(0)]
+            sides = [{bool(w) for w in walk >= R} for _, walk in walk_steps(
+                g, np.repeat([i, j], R), cfg.T, np.random.default_rng(seed))]
+            lone += len(sides[-1]) == 1
+        assert lone > 0
 
 
 @st.composite

@@ -46,6 +46,43 @@ class TestSinglePair:
             sr.single_pair(g, cfg, D, j, i), abs=1e-12)
 
 
+# the 3-cycle 0 -> 1 -> 2 -> 0 with the chord 0 -> 2
+CYCLE_EDGES = "0 1\n1 2\n2 0\n0 2\n"
+
+# every query entry point, called with vertex v in one vertex slot
+VERTEX_QUERIES = {
+    "single_pair i": lambda g, cfg, D, v, rng: sr.single_pair(g, cfg, D, v, 0),
+    "single_pair j": lambda g, cfg, D, v, rng: sr.single_pair(g, cfg, D, 0, v),
+    "single_source": lambda g, cfg, D, v, rng: sr.single_source(g, cfg, D, v),
+    "mc_single_pair i": lambda g, cfg, D, v, rng: sr.mc_single_pair(
+        g, cfg, D, v, 0, 10, rng),
+    "mc_single_pair j": lambda g, cfg, D, v, rng: sr.mc_single_pair(
+        g, cfg, D, 0, v, 10, rng),
+    "mc_single_pair i = j": lambda g, cfg, D, v, rng: sr.mc_single_pair(
+        g, cfg, D, v, v, 10, rng),
+    "mc_single_source": lambda g, cfg, D, v, rng: sr.mc_single_source(
+        g, cfg, D, v, 10, rng),
+    "topk_query": lambda g, cfg, D, v, rng: sr.topk_query(
+        g, cfg, D, None, v, 2),
+    "topk_query mc": lambda g, cfg, D, v, rng: sr.topk_query(
+        g, cfg, D, None, v, 2, adaptive=(10, 10), rng=rng),
+}
+
+
+@pytest.mark.parametrize("query", VERTEX_QUERIES)
+@pytest.mark.parametrize("v", [-1, 3])
+def test_out_of_range_vertex_is_refused_before_any_walk(query, v):
+    # a negative id would otherwise index from the end: -1 read vertex 2
+    g = sr.load_edge_list(CYCLE_EDGES)
+    cfg = sr.Config(c=0.6, T=5)
+    D = sr.exact_diagonal(g, cfg)
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match=f"vertex {v} out of range for "
+                                         f"graph with 3 vertices"):
+        VERTEX_QUERIES[query](g, cfg, D, v, rng)
+    assert rng.random() == np.random.default_rng(4).random()  # nothing drawn
+
+
 class TestSingleSource:
     def test_modes_agree_and_match_single_pair(self, random_graphs):
         cfg = sr.Config(c=0.6, T=9)

@@ -33,7 +33,9 @@ from .query import (DEFAULT_OUTPUT_THRESHOLD, all_pairs, single_pair,
 from .topk import topk_query
 
 # largest n*m*T for which a command without --diag estimates the diagonal
-# exactly (L=3): about one second on a 2-vCPU Xeon, at ~4 ns per unit
+# exactly (L=3).  At the cap that took 0.2 s (uniform, n=1000, m=22700) to
+# 2.3 s (a 4767-vertex path) on a 2-vCPU Xeon, 0.8-11 ns per unit: the dense
+# n x block arrays add a cost in n^2 T that n*m*T does not count
 EXACT_DEFAULT_MAX_WORK = 250_000_000
 
 
@@ -138,6 +140,8 @@ def cmd_query(args) -> int:
 def cmd_topk(args) -> int:
     g, cfg = _load_graph(args)
     check_vertex(g, args.source)
+    if not np.isfinite(args.theta_floor):
+        raise ValueError(f"--theta-floor must be finite, got {args.theta_floor}")
     mc = args.estimator == "mc"
     if mc:
         check_walk_count(args.R)

@@ -15,7 +15,9 @@ walks from every source of the block together and counts (source, position)
 keys per step, so P^t e_k becomes the empirical frequency and the rows come
 out sparse (``walk_rows``).  The block's updates then run in vertex order
 against the values updated so far (true Gauss-Seidel), the same loop for
-both modes.
+both modes.  The first exact sweep keeps the rows of the first blocks that
+fit ROW_BUDGET entries and later sweeps read them instead of propagating
+again, so a graph whose rows all fit takes one W pass.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ MC_CLAMP_SLACK = 0.05
 # max(1, BLOCK_BUDGET // n) sources, so its arrays stay near 2^15 entries
 # (n once n exceeds that) instead of the n^2 of propagating all sources at once
 BLOCK_BUDGET = 2**15
+# exact rows kept across sweeps: 2^20 float64 entries (8 MB), every row of a
+# graph with n <= 1024
+ROW_BUDGET = 2**20
 # walks in flight in one MC block: a block holds max(1, WALK_BUDGET // R) sources
 WALK_BUDGET = 2**15
 
@@ -177,7 +182,15 @@ def inner_estimates(g: Graph, cfg: Config, D: DiagonalCorrection, k: int,
 
 def estimate_diagonal(g: Graph, cfg: Config,
                       est_cfg: EstimationConfig) -> DiagonalCorrection:
-    """L Gauss-Seidel sweeps over k = 0..n-1 from the initial guess."""
+    """L Gauss-Seidel sweeps over k = 0..n-1 from the initial guess.
+
+    In exact mode with L > 1 the rows of the first blocks that fit
+    ROW_BUDGET entries are kept from the first sweep, so a graph whose n^2
+    rows fit takes one W pass; the other blocks are computed again in every
+    sweep.  The extra memory is at most 8 * ROW_BUDGET bytes plus one
+    block, and D is the same bitwise as with no rows kept.  MC rows are
+    drawn afresh on every (sweep, block) stream.
+    """
     D = initial_guess(g, cfg)
     # never below 0: the true correction is at least 1 - c > 0, and
     # load_diagonal and the join reject a negative one
@@ -195,10 +208,21 @@ def estimate_diagonal(g: Graph, cfg: Config,
         D.values[k] = clamped
 
     size = None if est_cfg.mode == "exact" else max(1, WALK_BUDGET // est_cfg.R)
+    # exact rows do not depend on D, so later sweeps can read them; a block
+    # holds at least one entry, so no room keeps nothing
+    room = ROW_BUDGET if est_cfg.mode == "exact" and est_cfg.L > 1 else 0
+    kept = []
     for sweep in range(est_cfg.L):
-        for ks in source_blocks(g.n, size):
-            # mc: one stream per (sweep, block), named by its first vertex
-            W = _block_rows(g, cfg, est_cfg, ks, [cfg.seed, sweep, int(ks[0])])
+        for b, ks in enumerate(source_blocks(g.n, size)):
+            if b < len(kept):
+                W = kept[b]
+            else:
+                # mc: one stream per (sweep, block), named by its first vertex
+                W = _block_rows(g, cfg, est_cfg, ks,
+                                [cfg.seed, sweep, int(ks[0])])
+                if b == len(kept) and W.size <= room:
+                    kept.append(W)
+                    room -= W.size
             for j, k in enumerate(ks):
                 update(k, *_row_terms(W, j, k, D.values))
     D.params = _params(cfg, est_cfg, est_cfg.mode)
@@ -206,10 +230,11 @@ def estimate_diagonal(g: Graph, cfg: Config,
 
 
 def residual_norm(g: Graph, cfg: Config, D: DiagonalCorrection) -> float:
-    """max_k |S^L(D)_kk - 1| with S^L truncated at T, exact, block by block."""
+    """max_k |S^L(D)_kk - 1| with S^L truncated at T, exact, block by block;
+    0.0 on a graph with no vertices."""
     dvals = D.as_array()
-    return max(float(np.max(np.abs(weight_rows(g, cfg, ks) @ dvals - 1.0)))
-               for ks in source_blocks(g.n))
+    return max((float(np.max(np.abs(weight_rows(g, cfg, ks) @ dvals - 1.0)))
+                for ks in source_blocks(g.n)), default=0.0)
 
 
 def _params(cfg: Config, est_cfg: EstimationConfig | None, mode: str) -> dict:

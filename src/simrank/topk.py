@@ -185,6 +185,7 @@ def topk_query(g: Graph, cfg: Config, D: DiagonalCorrection,
     ``index.candidates[u]`` when an index is given, keeps scores strictly
     above theta_floor (so at the default 0.0 no zero-score vertex is listed),
     and returns the best k, a tie at the kth place going to the lower id.
+    k < 1 or a non-finite theta_floor raises ValueError before any work.
 
     With adaptive=None the column is the exact ``single_source(g, cfg, D, u)``.
     With adaptive=(R_lo, R_hi) it is ``mc_single_source`` from R_hi walks
@@ -193,6 +194,8 @@ def topk_query(g: Graph, cfg: Config, D: DiagonalCorrection,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not np.isfinite(theta_floor):
+        raise ValueError(f"theta_floor must be finite, got {theta_floor}")
     check_vertex(g, u)
     allowed = None if index is None else index.candidates.get(u, set())
     if adaptive is None:

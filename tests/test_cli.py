@@ -253,6 +253,21 @@ class TestTopk:
             assert code == 1 and out == ""
             assert err == f"error: R must be >= 1, got {R}\n"
 
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_floor_checked_before_the_diagonal(
+            self, capsys, monkeypatch, star_file, star_diag, floor):
+        def untouched(*args, **kwargs):
+            raise AssertionError("diagonal touched")
+        monkeypatch.setattr(cli, "load_diagonal", untouched)
+        monkeypatch.setattr(cli, "estimate_diagonal", untouched)
+        for diag in (["--diag", star_diag], []):
+            code, out, err = run(capsys, ["topk", "--graph", star_file,
+                                          "--c", "0.8", "--T", "40", *diag,
+                                          "--source", "1", "--k", "2",
+                                          f"--theta-floor={floor}"])
+            assert code == 1 and out == ""
+            assert err == f"error: --theta-floor must be finite, got {floor}\n"
+
 
 class TestJoin:
     def test_star_three_lines(self, capsys, star_file, star_diag):

@@ -144,6 +144,12 @@ class TestExactEstimation:
         D = sr.estimate_diagonal(g, cfg, EstimationConfig(L=8))
         assert sr.residual_norm(g, cfg, D) < 1e-6
 
+    def test_residual_norm_of_empty_graph_is_zero(self):
+        g, cfg = sr.Graph(0, []), sr.Config(c=0.6, T=11)
+        D = sr.estimate_diagonal(g, cfg, EstimationConfig())
+        assert len(D) == 0
+        assert sr.residual_norm(g, cfg, D) == 0.0
+
     def test_values_stay_in_clamp_range(self, random_graphs):
         cfg = sr.Config(c=0.9, T=20)
         for g in random_graphs(3, 20, seed=7):
@@ -200,6 +206,76 @@ class TestBlockKernel:
                     X = g.P @ X
                 weight *= c
             assert np.array_equal(diag.weight_rows(g, cfg, ks), ref.T)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gb=blocked_digraphs(), c=st.floats(0.2, 0.9),
+           T=st.integers(1, 15), L=st.integers(1, 4), part=st.floats(0, 1))
+    def test_kept_rows_leave_estimate_bit_identical(self, monkeypatch, gb, c,
+                                                    T, L, part):
+        """ROW_BUDGET at no block, one block, part of the blocks and all
+        of them gives the same D bitwise."""
+        g, size = gb
+        monkeypatch.setattr(diag, "BLOCK_BUDGET", size * g.n)
+        blocks = len(list(diag.source_blocks(g.n)))
+        cfg = sr.Config(c=c, T=T)
+        runs = []
+        for kept in (0, 1, int(part * blocks), blocks):
+            monkeypatch.setattr(diag, "ROW_BUDGET", kept * size * g.n)
+            runs.append(sr.estimate_diagonal(g, cfg, EstimationConfig(L=L)))
+        for D in runs[1:]:
+            assert np.array_equal(D.values, runs[0].values)
+            assert (D.clamped, D.skipped) == (runs[0].clamped, runs[0].skipped)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gb=blocked_digraphs(), L=st.integers(1, 4), kept=st.integers(0, 40),
+           slack=st.integers(-1, 40))
+    def test_rows_computed_once_while_they_fit(self, monkeypatch, gb, L, kept,
+                                               slack):
+        """The leading blocks whose rows add up to at most ROW_BUDGET
+        entries are computed once and every other block once per sweep: at
+        a budget of n^2 entries that is one call per block whatever L is,
+        at budget 0 it is L calls per block, and half a block keeps none."""
+        g, size = gb
+        sizes = [len(ks) * g.n for ks in diag.source_blocks(g.n, size)]
+        blocks = len(sizes)
+        for budget in (0, g.n * g.n, sizes[0] // 2,
+                       max(0, kept * size * g.n + slack)):
+            fit = int(np.searchsorted(np.cumsum(sizes), budget, side="right"))
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(diag, "BLOCK_BUDGET", size * g.n)
+                mp.setattr(diag, "ROW_BUDGET", budget)
+                real = diag.weight_rows
+                mp.setattr(diag, "weight_rows",
+                           lambda *args: calls.append(args[2]) or real(*args))
+                sr.estimate_diagonal(g, sr.Config(c=0.6, T=5),
+                                     EstimationConfig(L=L))
+            assert len(calls) == blocks + (L - 1) * (blocks - fit)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=mc_cases(), L=st.integers(1, 4), budget=st.integers(1, 200))
+    def test_mc_rows_drawn_in_every_sweep(self, monkeypatch, case, L, budget):
+        """MC rows are never kept: walk_rows runs L times per block and D is
+        the budget-0 estimate bitwise."""
+        g, _, R, cfg = case
+        est = EstimationConfig(L=L, R=R, mode="mc")
+        blocks = len(list(diag.source_blocks(g.n, max(1, budget // R))))
+        calls = []
+        with monkeypatch.context() as mp:
+            mp.setattr(diag, "WALK_BUDGET", budget)
+            mp.setattr(diag, "ROW_BUDGET", 0)
+            ref = sr.estimate_diagonal(g, cfg, est)
+            mp.setattr(diag, "ROW_BUDGET", 2**20)
+            real = diag.walk_rows
+            mp.setattr(diag, "walk_rows",
+                       lambda *args: calls.append(args[2]) or real(*args))
+            D = sr.estimate_diagonal(g, cfg, est)
+        assert len(calls) == L * blocks
+        assert np.array_equal(D.values, ref.values)
+        assert (D.clamped, D.skipped) == (ref.clamped, ref.skipped)
 
     def test_blocks_cover_every_vertex_in_order(self, monkeypatch):
         monkeypatch.setattr(diag, "BLOCK_BUDGET", 30)

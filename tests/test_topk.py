@@ -257,6 +257,20 @@ class TestTopkQuery:
         with pytest.raises(ValueError, match="k"):
             sr.topk_query(g, cfg, D, None, 1, 0)
 
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_floor_rejected_before_propagation(
+            self, monkeypatch, star_exact, floor):
+        g, cfg, D = star_exact
+
+        def untouched(*args, **kwargs):
+            raise AssertionError("column computed")
+        monkeypatch.setattr(topk, "single_source", untouched)
+        monkeypatch.setattr(topk, "mc_single_source", untouched)
+        for adaptive in (None, (10, 50)):
+            with pytest.raises(ValueError, match="theta_floor must be finite"):
+                sr.topk_query(g, cfg, D, None, 1, 2, theta_floor=floor,
+                              adaptive=adaptive)
+
     @settings(max_examples=300, deadline=None)
     @given(case=topk_cases(), c=st.floats(0.2, 0.9), T=st.integers(1, 15))
     def test_exact_path_ranks_the_dense_row(self, case, c, T):

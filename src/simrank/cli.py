@@ -25,7 +25,7 @@ from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
                    load_diagonal, residual_norm, save_diagonal,
                    source_blocks)
 from .graph import Config, Graph, check_vertex, load_edge_list
-from .join import check_join_args, join
+from .join import DEFAULT_BETA_SKIP, check_join_args, join
 from .mc import check_walk_count, mc_single_pair, mc_single_source
 from .oracle import naive_simrank
 from .query import (DEFAULT_OUTPUT_THRESHOLD, all_pairs, single_pair,
@@ -90,10 +90,12 @@ def cmd_estimate_diag(args) -> int:
     elapsed = time.perf_counter() - start
     save_diagonal(args.out, D)
     summary = (f"n={g.n} m={g.m} mode={args.mode} L={args.L} "
-               f"clamped={D.clamped} skipped={D.skipped} time={elapsed:.3f}s")
+               f"clamped={D.clamped} skipped={D.skipped}")
     if args.mode == "exact":
         summary += f" residual_norm={residual_norm(g, cfg, D):.3e}"
     print(summary)
+    # stdout is the same on every rerun; the elapsed time goes to stderr
+    print(f"time={elapsed:.3f}s", file=sys.stderr)
     return 0
 
 
@@ -140,6 +142,8 @@ def cmd_query(args) -> int:
 def cmd_topk(args) -> int:
     g, cfg = _load_graph(args)
     check_vertex(g, args.source)
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     if not np.isfinite(args.theta_floor):
         raise ValueError(f"--theta-floor must be finite, got {args.theta_floor}")
     mc = args.estimator == "mc"
@@ -257,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accuracy split in [0,1); larger lowers the filter "
                         "tolerance (1-c)(1-gamma)theta, so the filter does more "
                         "work and fewer pairs go to verification")
-    p.add_argument("--beta-skip", type=float, default=100.0, dest="beta_skip",
+    p.add_argument("--beta-skip", type=float, default=DEFAULT_BETA_SKIP,
+                   dest="beta_skip",
                    help="thresholding rate; <= 0 disables thresholding")
     p.add_argument("--p", type=float, default=0.01,
                    help="verification failure probability")

@@ -47,9 +47,9 @@ class Graph:
     An edge (u, v) means u -> v, so I(v) gains u.  edges is an array or a
     sequence of (u, v) pairs over 0..n-1; duplicates are merged and a
     self-loop is refused.  The arrays in_degree, in_ptr and in_adj (I(v) is
-    in_adj[in_ptr[v]:in_ptr[v + 1]], ascending) are built here, P and PT on
-    first use, and the list forms edges, in_index and out_index once, on
-    first access.
+    in_adj[in_ptr[v]:in_ptr[v + 1]], ascending) are built here by one sort,
+    P and PT on first use, and the list forms edges, in_index and out_index
+    (read from the rows of P) once, on first access.
     """
 
     def __init__(self, n: int, edges, original_ids: list[int] | None = None,
@@ -62,31 +62,31 @@ class Graph:
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if pairs.size and not (pairs.min() >= 0 and pairs.max() < n):
             raise ValueError(f"edge endpoint outside 0..{n - 1}")
-        # one key u * n + v per distinct edge, ascending
-        keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+        # one key v * n + u per distinct edge, ascending: by v, then by u
+        keys = np.sort(pairs[:, 1] * n + pairs[:, 0])
         distinct = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-        u, v = np.divmod(keys[distinct], n)
-        if np.any(u == v):
+        v, self.in_adj = np.divmod(keys[distinct], n)
+        if np.any(self.in_adj == v):
             raise ValueError("self-loop survived ingestion")
-        self._u, self._v = u, v
 
         self.in_degree = np.bincount(v, minlength=n).astype(np.int64, copy=False)
         self.in_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.in_degree, out=self.in_ptr[1:])
-        self.in_adj = np.sort(v * n + u) % n  # by v, then by u
 
         self._P = None
         self._PT = None
 
     @property
     def m(self) -> int:
-        return len(self._u)
+        return len(self.in_adj)
 
     @cached_property
     def edges(self) -> list[tuple[int, int]]:
-        """The edges (u, v) in ascending order."""
-        return list(zip(self._u.tolist(), self._v.tolist()))
+        """The edges (u, v) in ascending order, read from the rows of P."""
+        P = self.P
+        u = np.repeat(np.arange(self.n), np.diff(P.indptr))
+        return list(zip(u.tolist(), P.indices.tolist()))
 
     @cached_property
     def in_index(self) -> list[list[int]]:
@@ -95,10 +95,8 @@ class Graph:
 
     @cached_property
     def out_index(self) -> list[list[int]]:
-        """The out-neighbors of u as an ascending list, for every u."""
-        out_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self._u, minlength=self.n), out=out_ptr[1:])
-        return _split(self._v, out_ptr)
+        """Row u of P: the out-neighbors of u, ascending, for every u."""
+        return _split(self.P.indices, self.P.indptr)
 
     @property
     def P(self) -> sp.csr_matrix:

@@ -28,7 +28,7 @@ from .diag import DiagonalCorrection
 from .graph import Config, Graph
 from .mc import check_verify_args, verify_pairs
 
-DEFAULT_MAX_ENTRIES = 2 * 10**8
+MAX_ENTRIES = 2 * 10**8
 DEFAULT_BETA_SKIP = 100.0
 
 
@@ -217,8 +217,7 @@ class FilterResult:
 def gauss_southwell_filter(g: Graph, cfg: Config, D: DiagonalCorrection,
                            theta: float, gamma_acc: float = 0.0,
                            beta_skip: float | None = None,
-                           rng: np.random.Generator | None = None,
-                           max_entries: int = DEFAULT_MAX_ENTRIES) -> FilterResult:
+                           rng: np.random.Generator | None = None) -> FilterResult:
     """Run the residual filter to tolerance eps = (1-c)(1-gamma_acc) theta.
 
     Starts from S-tilde = 0, R-tilde = D and works in rounds.  A round takes
@@ -242,7 +241,7 @@ def gauss_southwell_filter(g: Graph, cfg: Config, D: DiagonalCorrection,
     ``pushes``, the stored entries of each product; ``allocations`` and
     ``skips``, its fresh entries kept and dropped; and ``max_entries``, the
     most entries of R-tilde and S-tilde stored at once.  More than
-    max_entries stored raises MemoryCapExceeded.
+    MAX_ENTRIES stored raises MemoryCapExceeded.
     """
     check_join_args(theta, gamma_acc, beta_skip)
     dvals = D.as_array()
@@ -277,9 +276,9 @@ def gauss_southwell_filter(g: Graph, cfg: Config, D: DiagonalCorrection,
         R = R + _spread(g, cfg, R_sel, R, S, beta_skip, rng, stats)
         entries = R.nnz + S.nnz
         stats["max_entries"] = max(stats["max_entries"], entries)
-        if entries > max_entries:
+        if entries > MAX_ENTRIES:
             raise MemoryCapExceeded(
-                f"filter exceeded {max_entries} stored entries", stats)
+                f"filter exceeded {MAX_ENTRIES} stored entries", stats)
     return FilterResult(eps, S, R, stats)
 
 
@@ -388,8 +387,7 @@ def _pairs(A: sp.csr_matrix, keep: np.ndarray) -> set[tuple[int, int]]:
 def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
          gamma_acc: float = 0.0, beta_skip: float | None = None,
          p: float = 0.01, R_max: int = 1000,
-         rng: np.random.Generator | None = None,
-         max_entries: int = DEFAULT_MAX_ENTRIES) -> JoinResult:
+         rng: np.random.Generator | None = None) -> JoinResult:
     """All unordered vertex pairs with similarity >= theta (whp).
 
     J_H holds the off-diagonal pairs with S-tilde + R-tilde >=
@@ -438,8 +436,7 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
     check_join_args(theta, gamma_acc, beta_skip, p, R_max)
     if rng is None:
         rng = cfg.rng()
-    filt = gauss_southwell_filter(g, cfg, D, theta, gamma_acc, beta_skip,
-                                  rng, max_entries)
+    filt = gauss_southwell_filter(g, cfg, D, theta, gamma_acc, beta_skip, rng)
     held = filt.S + filt.R
     J_L = _pairs(held, held.data >= theta)
     J_H = _pairs(held, held.data >= (1.0 - cfg.c * (1.0 - gamma_acc)) * theta)

@@ -87,19 +87,10 @@ def mc_single_source(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,
                                 for h in walk_positions(g, u, cfg.T, R, rng)])
 
 
-def meeting_time_sample(g: Graph, cfg: Config, i: int, j: int,
-                        rng: np.random.Generator) -> float:
-    """One draw of c^tau for synchronous coupled walks from i and j.
-
-    Both walks step simultaneously; tau is the first t with equal positions.
-    Returns 0 if either walk is absorbed or no meeting occurs within T steps.
-    """
-    return float(meeting_time_samples(g, cfg, i, j, 1, rng)[0])
-
-
 def meeting_time_samples(g: Graph, cfg: Config, i: int, j: int, R: int,
                          rng: np.random.Generator) -> np.ndarray:
-    """R independent draws of c^tau for the pair (i, j)."""
+    """R independent draws of c^tau, tau the first step at which coupled walks
+    from i and j meet; 0 if one is absorbed or they do not meet within T."""
     return meeting_times(g, cfg, np.full(R, i, dtype=np.int64),
                          np.full(R, j, dtype=np.int64), rng)
 

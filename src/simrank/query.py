@@ -30,27 +30,13 @@ def single_pair(g: Graph, cfg: Config, D: DiagonalCorrection,
     return score
 
 
-def source_columns(g: Graph, cfg: Config, D: DiagonalCorrection,
-                   ks: np.ndarray | int) -> np.ndarray:
-    """The n x len(ks) block whose column j is S e_{ks[j]} truncated at T terms.
-
-    One forward pass keeps the stack D P^t E_ks for t < T (T n len(ks)
-    doubles), and ``fold_series`` folds it: T-1 sparse products each way,
-    O(T m) per source.  A scalar ks gives the length-n column S e_ks.
-    """
-    dvals = D.as_array()
-    if np.ndim(ks) > 0:
-        dvals = dvals[:, None]
-    return fold_series(g, cfg, [dvals * X for X in propagate(g, cfg, ks)])
-
-
 def fold_series(g: Graph, cfg: Config, stack: list[np.ndarray]) -> np.ndarray:
     """sum_t c^t (P^T)^t stack[t] by the Horner pass acc = stack[t] + c P^T acc
     from t = len(stack)-1 down to 0; consumes stack.
 
     Every column query ends here: the exact stack D P^t E_ks of
-    ``source_columns`` and the walk stack D h_t / R of
-    ``mc.mc_single_source``.
+    ``all_pairs`` (one column in ``single_source``) and the walk stack
+    D h_t / R of ``mc.mc_single_source``.
     """
     PT = g.PT
     acc = stack.pop()
@@ -153,23 +139,26 @@ def _put_digits(out: np.ndarray, keep: np.ndarray, at: int, v: np.ndarray,
 
 def single_source(g: Graph, cfg: Config, D: DiagonalCorrection,
                   i: int) -> np.ndarray:
-    """The length-n column S e_i truncated at T terms: ``source_columns``'s
-    one-source case, O(T m) time and O(T n) extra memory."""
+    """The length-n column S e_i truncated at T terms: the one-column case
+    of ``all_pairs``'s kernel, the stack D P^t e_i for t < T folded by
+    ``fold_series``.  O(T m) time and O(T n) extra memory."""
     check_vertex(g, i)
-    return source_columns(g, cfg, D, i)
+    dvals = D.as_array()
+    return fold_series(g, cfg, [dvals * x for x in propagate(g, cfg, i)])
 
 
 def all_pairs(g: Graph, cfg: Config, D: DiagonalCorrection, sink,
               threshold: float = DEFAULT_OUTPUT_THRESHOLD) -> int:
     """Stream "i<TAB>j<TAB>score" rows for entries >= threshold, sorted by (i, j).
 
-    Sources go in the blocks of ``diag.source_blocks`` through the kernel of
-    ``source_columns``: the forward stack D P^t E_ks for t < T, folded by
-    ``fold_series``.  The stack is one T x n x (block size) array made once
-    and refilled by every block, so the kernel's extra memory stays near
-    T * BLOCK_BUDGET doubles for any n, and the export does not free and
-    allocate T block-sized arrays per block (the allocator can hand freed
-    memory back to the kernel, and every page of it then faults in again).
+    Sources go in the blocks of ``diag.source_blocks``: the forward stack
+    D P^t E_ks for t < T, folded by ``fold_series``; ``single_source`` is
+    the kernel's one-column case.  The stack is one T x n x (block size)
+    array made once and refilled by every block, so the kernel's extra
+    memory stays near T * BLOCK_BUDGET doubles for any n, and the export
+    does not free and allocate T block-sized arrays per block (the
+    allocator can hand freed memory back to the kernel, and every page of
+    it then faults in again).
     Each block's rows come from one ``np.nonzero`` over the transposed
     view of the block (no copy) and are written by one ``tsv_rows`` call,
     so the writer's extra memory is O(rows of one block).  threshold 0

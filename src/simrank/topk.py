@@ -13,7 +13,7 @@ The pruning bounds of Kusumoto et al. (SIGMOD 2014) remain as functions that
 acceptance criterion 07 checks for soundness: a distance-indexed bound
 beta(u, d) built from per-step maxima alpha(u, d, t) (``build_alpha_beta``),
 and a norm bound sum_t c^t gamma(u,t) gamma(v,t) with
-gamma(u,t) = ||sqrt(D) P^t e_u|| (``gamma_table``, ``l2_bound``).  No query
+gamma(u,t) = ||sqrt(D) P^t e_u|| (``build_gamma``, ``l2_bound``).  No query
 uses them: one full column costs less than the pruned scan they served.
 """
 
@@ -45,21 +45,12 @@ class BoundsIndex:
     candidates: dict[int, set[int]]
 
 
-def gamma_table(g: Graph, cfg: Config, D: DiagonalCorrection,
-                ks: np.ndarray) -> np.ndarray:
-    """Exact rows gamma(u, t) = ||sqrt(D) P^t e_u|| for t = 0..T-1, one per u in ks."""
-    dvals = D.as_array()
-    out = np.empty((len(ks), cfg.T))
-    for t, X in enumerate(propagate(g, cfg, ks)):
-        XT = np.ascontiguousarray(X.T)
-        out[:, t] = np.sqrt(np.sum(dvals * XT * XT, axis=1))
-    return out
-
-
 def build_gamma(g: Graph, cfg: Config, D: DiagonalCorrection,
                 u: int) -> np.ndarray:
-    """Row gamma(u, t) for t = 0..T-1: gamma_table's one-vertex case."""
-    return gamma_table(g, cfg, D, np.array([u]))[0]
+    """Row gamma(u, t) = ||sqrt(D) P^t e_u|| for t = 0..T-1."""
+    dvals = D.as_array()
+    return np.array([np.sqrt(np.sum(dvals * x * x))
+                     for x in propagate(g, cfg, u)])
 
 
 def build_alpha_beta(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,

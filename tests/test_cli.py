@@ -57,6 +57,19 @@ class TestEstimateDiag:
         assert code == 0
         assert "residual_norm=" in out
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_rerun_prints_identical_stdout(self, capsys, star_file, tmp_path,
+                                           mode):
+        outs = []
+        for name in ("a", "b"):
+            code, out, err = run(capsys, ["estimate-diag", "--graph", star_file,
+                                          "--mode", mode, "--L", "3",
+                                          "--out", str(tmp_path / name)])
+            assert code == 0
+            assert "time=" not in out and err.startswith("time=")
+            outs.append(out)
+        assert outs[0] == outs[1]
+
 
 class TestQuery:
     def test_pair(self, capsys, star_file, star_diag):
@@ -253,20 +266,25 @@ class TestTopk:
             assert code == 1 and out == ""
             assert err == f"error: R must be >= 1, got {R}\n"
 
-    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flags, message", [
+        *(pytest.param(["--k", "2", f"--theta-floor={floor}"],
+                       f"--theta-floor must be finite, got {floor}", id=floor)
+          for floor in ("nan", "inf", "-inf")),
+        pytest.param(["--k", "0"], "--k must be >= 1, got 0", id="k=0")])
     def test_non_finite_theta_floor_checked_before_the_diagonal(
-            self, capsys, monkeypatch, star_file, star_diag, floor):
+            self, capsys, monkeypatch, tmp_path, star_file, star_diag, flags,
+            message):
         def untouched(*args, **kwargs):
             raise AssertionError("diagonal touched")
         monkeypatch.setattr(cli, "load_diagonal", untouched)
         monkeypatch.setattr(cli, "estimate_diagonal", untouched)
-        for diag in (["--diag", star_diag], []):
+        missing = str(tmp_path / "missing.diag")
+        for diag in (["--diag", star_diag], ["--diag", missing], []):
             code, out, err = run(capsys, ["topk", "--graph", star_file,
                                           "--c", "0.8", "--T", "40", *diag,
-                                          "--source", "1", "--k", "2",
-                                          f"--theta-floor={floor}"])
+                                          "--source", "1", *flags])
             assert code == 1 and out == ""
-            assert err == f"error: --theta-floor must be finite, got {floor}\n"
+            assert err == f"error: {message}\n"
 
 
 class TestJoin:

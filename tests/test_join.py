@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,11 +96,14 @@ class TestFilter:
             assert lo_a <= lo_b
             assert hi_b <= hi_a
 
-    def test_memory_cap(self, join_suite):
+    def test_memory_cap(self, join_suite, monkeypatch):
         cfg, suite = join_suite
         g, D, _ = suite[0]
+        # the module, not the package attribute simrank.join (the function)
+        monkeypatch.setattr(importlib.import_module("simrank.join"),
+                            "MAX_ENTRIES", 3)
         with pytest.raises(MemoryCapExceeded) as info:
-            sr.gauss_southwell_filter(g, cfg, D, theta=0.2, max_entries=3)
+            sr.gauss_southwell_filter(g, cfg, D, theta=0.2)
         assert info.value.stats["relaxations"] >= 1
 
     def test_argument_validation(self, star, cfg08):

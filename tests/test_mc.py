@@ -228,9 +228,9 @@ class TestMeetingTimes:
         allowed = {0.0} | {cfg.c ** t for t in range(1, cfg.T + 1)}
         assert {float(v) for v in draws} <= allowed
 
-    def test_scalar_wrapper(self, star_exact):
+    def test_one_draw_on_the_star(self, star_exact):
         g, cfg, _ = star_exact
-        assert sr.meeting_time_sample(g, cfg, 1, 2, cfg.rng()) == cfg.c
+        assert meeting_time_samples(g, cfg, 1, 2, 1, cfg.rng())[0] == cfg.c
 
 
 class TestVerifyPair:

@@ -92,7 +92,10 @@ def cmd_estimate_diag(args) -> int:
     summary = (f"n={g.n} m={g.m} mode={args.mode} L={args.L} "
                f"clamped={D.clamped} skipped={D.skipped}")
     if args.mode == "exact":
-        summary += f" residual_norm={residual_norm(g, cfg, D):.3e}"
+        # read off the kept rows when they all fit, else one more W pass
+        residual = (D.residual if D.residual is not None
+                    else residual_norm(g, cfg, D))
+        summary += f" residual_norm={residual:.3e}"
     print(summary)
     # stdout is the same on every rerun; the elapsed time goes to stderr
     print(f"time={elapsed:.3f}s", file=sys.stderr)
@@ -199,23 +202,53 @@ def cmd_oracle(args) -> int:
 
 def cmd_accuracy(args) -> int:
     g, cfg = _load_graph(args)
+    S_est = _read_scores(args.scores, g)
     S_true = naive_simrank(g, cfg, cap=args.cap)
-    S_est = np.zeros((g.n, g.n))
-    with open(args.scores) as fh:
+    me = float(np.abs(S_est - S_true).sum() / (g.n * g.n))
+    print(f"{me:.9f}")
+    return 0
+
+
+def _read_scores(path, g: Graph) -> np.ndarray:
+    """The n x n matrix of a 'i<TAB>j<TAB>score' file, 0 where no line names
+    the pair; blank lines are skipped.  A line with ids that are not vertex
+    indices of g, a score that is not finite, or a pair listed before raises
+    ValueError naming its line."""
+    S = np.zeros((g.n, g.n))
+    first = {}
+    with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
                 continue
             parts = text.split("\t")
+            where = f"{path}:{lineno}:"
             if len(parts) != 3:
-                raise ValueError(f"{args.scores}:{lineno}: expected 'i<TAB>j<TAB>score'")
-            i, j, s = int(parts[0]), int(parts[1]), float(parts[2])
-            check_vertex(g, i)
-            check_vertex(g, j)
-            S_est[i, j] = s
-    me = float(np.abs(S_est - S_true).sum() / (g.n * g.n))
-    print(f"{me:.9f}")
-    return 0
+                raise ValueError(f"{where} expected 'i<TAB>j<TAB>score'")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(
+                    f"{where} expected integer vertex ids, got "
+                    f"{parts[0]!r} and {parts[1]!r}") from None
+            try:
+                s = float(parts[2])
+            except ValueError:
+                s = np.nan
+            if not np.isfinite(s):
+                raise ValueError(
+                    f"{where} expected a finite score, got {parts[2]!r}")
+            try:
+                check_vertex(g, i)
+                check_vertex(g, j)
+            except ValueError as exc:
+                raise ValueError(f"{where} {exc}") from None
+            if (i, j) in first:
+                raise ValueError(f"{where} pair ({i}, {j}) already listed "
+                                 f"on line {first[i, j]}")
+            first[i, j] = lineno
+            S[i, j] = s
+    return S
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,9 +15,12 @@ walks from every source of the block together and counts (source, position)
 keys per step, so P^t e_k becomes the empirical frequency and the rows come
 out sparse (``walk_rows``).  The block's updates then run in vertex order
 against the values updated so far (true Gauss-Seidel), the same loop for
-both modes.  The first exact sweep keeps the rows of the first blocks that
-fit ROW_BUDGET entries and later sweeps read them instead of propagating
-again, so a graph whose rows all fit takes one W pass.
+both modes: W[k, k] is read for the whole block at once, and each vertex
+takes one row dot.  The first exact sweep keeps the rows of the first blocks
+that fit ROW_BUDGET entries and later sweeps read them instead of
+propagating again; when they cover every block, the residual
+max_k |S^L(D)_kk - 1| of the result is read off them too, so a graph whose
+rows all fit takes one W pass for the estimate and its residual.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ MC_CLAMP_SLACK = 0.05
 # max(1, BLOCK_BUDGET // n) sources, so its arrays stay near 2^15 entries
 # (n once n exceeds that) instead of the n^2 of propagating all sources at once
 BLOCK_BUDGET = 2**15
-# exact rows kept across sweeps: 2^20 float64 entries (8 MB), every row of a
-# graph with n <= 1024
+# exact rows kept across sweeps and for the residual, at any L: 2^20 float64
+# entries (8 MB), every row of a graph with n <= 1024
 ROW_BUDGET = 2**20
 # walks in flight in one MC block: a block holds max(1, WALK_BUDGET // R) sources
 WALK_BUDGET = 2**15
@@ -44,10 +47,19 @@ WALK_BUDGET = 2**15
 
 @dataclass
 class DiagonalCorrection:
+    """diag(D) as ``values``, with the estimate's parameters and counters.
+
+    ``residual`` is max_k |S^L(D)_kk - 1| of the values as estimate_diagonal
+    returned them, bitwise equal to ``residual_norm``.  Exact mode reads it
+    off the rows it kept when they cover every block; it is None where it
+    was not computed: MC mode, rows recomputed per sweep, a loaded file.
+    """
+
     values: np.ndarray
     params: dict = field(default_factory=dict)
     clamped: int = 0
     skipped: int = 0
+    residual: float | None = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -156,14 +168,14 @@ def _block_rows(g: Graph, cfg: Config, est_cfg: EstimationConfig,
     return walk_rows(g, cfg, ks, est_cfg.R, np.random.default_rng(seed))
 
 
-def _row_terms(W, j: int, k: int, d: np.ndarray) -> tuple[float, float]:
-    """(W[j, k], W[j, :] . d) for a dense or a CSR block of rows."""
+def _block_diagonal(W, ks: np.ndarray) -> np.ndarray:
+    """W[j, ks[j]] for every row j of a dense or a CSR block of rows; a CSR
+    row without that entry gives 0.0."""
     if sp.issparse(W):
-        lo, hi = W.indptr[j], W.indptr[j + 1]
-        cols, vals = W.indices[lo:hi], W.data[lo:hi]
-        return float(vals[cols == k].sum()), float(vals @ d[cols])
-    w = W[j]
-    return float(w[k]), float(w @ d)
+        rows = np.repeat(np.arange(len(ks)), np.diff(W.indptr))
+        hit = W.indices == ks[rows]
+        return np.bincount(rows[hit], weights=W.data[hit], minlength=len(ks))
+    return W[np.arange(len(ks)), ks]
 
 
 def inner_estimates(g: Graph, cfg: Config, D: DiagonalCorrection, k: int,
@@ -175,45 +187,42 @@ def inner_estimates(g: Graph, cfg: Config, D: DiagonalCorrection, k: int,
     both are read off the one-source row W[k, :] of ``weight_rows`` (exact)
     or ``walk_rows`` (mc, squared empirical frequencies of R walks).
     """
-    W = _block_rows(g, cfg, est_cfg, np.array([k]),
-                    rng if rng is not None else cfg.seed)
-    return _row_terms(W, 0, k, D.as_array())
+    ks = np.array([k])
+    W = _block_rows(g, cfg, est_cfg, ks, rng if rng is not None else cfg.seed)
+    d = D.as_array()
+    b = W.data @ d[W.indices] if sp.issparse(W) else W[0] @ d
+    return float(_block_diagonal(W, ks)[0]), float(b)
 
 
 def estimate_diagonal(g: Graph, cfg: Config,
                       est_cfg: EstimationConfig) -> DiagonalCorrection:
     """L Gauss-Seidel sweeps over k = 0..n-1 from the initial guess.
 
-    In exact mode with L > 1 the rows of the first blocks that fit
+    In exact mode, at any L, the rows of the first blocks that fit
     ROW_BUDGET entries are kept from the first sweep, so a graph whose n^2
     rows fit takes one W pass; the other blocks are computed again in every
-    sweep.  The extra memory is at most 8 * ROW_BUDGET bytes plus one
-    block, and D is the same bitwise as with no rows kept.  MC rows are
-    drawn afresh on every (sweep, block) stream.
+    sweep.  The extra memory is at most 8 * ROW_BUDGET bytes plus one block,
+    and D is the same bitwise as with no rows kept.  When every block was
+    kept, D.residual is max_k |W[k, :] . diag(D) - 1| from those rows,
+    bitwise equal to ``residual_norm``; otherwise it is None.  MC rows are
+    drawn afresh on every (sweep, block) stream, and D.residual is None.
     """
     D = initial_guess(g, cfg)
+    d = D.values
     # never below 0: the true correction is at least 1 - c > 0, and
     # load_diagonal and the join reject a negative one
     lo = max(1.0 - cfg.c - est_cfg.clamp_slack, 0.0)
     hi = 1.0 + est_cfg.clamp_slack
-
-    def update(k: int, a: float, b: float) -> None:
-        if a <= 0.0:
-            D.skipped += 1
-            return
-        updated = D.values[k] + (1.0 - b) / a
-        clamped = min(max(updated, lo), hi)
-        if clamped != updated:
-            D.clamped += 1
-        D.values[k] = clamped
-
-    size = None if est_cfg.mode == "exact" else max(1, WALK_BUDGET // est_cfg.R)
-    # exact rows do not depend on D, so later sweeps can read them; a block
-    # holds at least one entry, so no room keeps nothing
-    room = ROW_BUDGET if est_cfg.mode == "exact" and est_cfg.L > 1 else 0
+    clamped = skipped = 0
+    exact = est_cfg.mode == "exact"
+    blocks = list(source_blocks(
+        g.n, None if exact else max(1, WALK_BUDGET // est_cfg.R)))
+    # exact rows do not depend on D, so later sweeps and the residual can
+    # read them; a block holds at least one entry, so no room keeps nothing
+    room = ROW_BUDGET if exact else 0
     kept = []
     for sweep in range(est_cfg.L):
-        for b, ks in enumerate(source_blocks(g.n, size)):
+        for b, ks in enumerate(blocks):
             if b < len(kept):
                 W = kept[b]
             else:
@@ -223,8 +232,28 @@ def estimate_diagonal(g: Graph, cfg: Config,
                 if b == len(kept) and W.size <= room:
                     kept.append(W)
                     room -= W.size
-            for j, k in enumerate(ks):
-                update(k, *_row_terms(W, j, k, D.values))
+            # each row's dot is taken when the loop reaches it, so it reads
+            # the values updated so far (Gauss-Seidel)
+            if sp.issparse(W):
+                ptr, cols, vals = W.indptr.tolist(), W.indices, W.data
+                dots = (vals[i:j].dot(d[cols[i:j]])
+                        for i, j in zip(ptr, ptr[1:]))
+            else:
+                dots = (w.dot(d) for w in W)
+            for k, a, dot in zip(ks.tolist(), _block_diagonal(W, ks).tolist(),
+                                 dots):
+                if a <= 0.0:
+                    skipped += 1
+                    continue
+                updated = d.item(k) + (1.0 - dot) / a
+                value = min(max(updated, lo), hi)
+                if value != updated:
+                    clamped += 1
+                d[k] = value
+    D.clamped, D.skipped = clamped, skipped
+    if exact and len(kept) == len(blocks):
+        D.residual = max((float(np.max(np.abs(W @ d - 1.0))) for W in kept),
+                         default=0.0)
     D.params = _params(cfg, est_cfg, est_cfg.mode)
     return D
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import simrank as sr
-from simrank import cli
+from simrank import cli, diag
 from simrank.cli import main
 
 import tsv_reference
-from conftest import SEVEN_EDGES, STAR_EDGES
+from conftest import SEVEN_EDGES, STAR_EDGES, make_graph
 
 
 @pytest.fixture
@@ -56,6 +56,36 @@ class TestEstimateDiag:
                                     "--out", str(tmp_path / "d")])
         assert code == 0
         assert "residual_norm=" in out
+
+    def test_residual_read_off_kept_rows(self, capsys, monkeypatch, tmp_path):
+        """With every row kept, estimate-diag computes each block's rows once
+        and never calls residual_norm; at ROW_BUDGET = 0 it calls
+        residual_norm once, which propagates every block again.  Both runs
+        print the same stdout."""
+        g = make_graph(np.random.default_rng(3), 30, 90)
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        n = sr.load_edge_list(path.read_text()).n
+        monkeypatch.setattr(diag, "BLOCK_BUDGET", 4 * n)
+        blocks = len(list(diag.source_blocks(n)))
+        rows, norms = [], []
+        real_rows, real_norm = diag.weight_rows, cli.residual_norm
+        monkeypatch.setattr(diag, "weight_rows",
+                            lambda *args: rows.append(args[2]) or real_rows(*args))
+        monkeypatch.setattr(cli, "residual_norm",
+                            lambda *args: norms.append(args) or real_norm(*args))
+        outs = []
+        for budget, calls in ((2**20, blocks), (0, 4 * blocks)):
+            monkeypatch.setattr(diag, "ROW_BUDGET", budget)
+            rows.clear()
+            norms.clear()
+            code, out, _ = run(capsys, ["estimate-diag", "--graph", str(path),
+                                        "--L", "3", "--out",
+                                        str(tmp_path / "d")])
+            assert code == 0
+            assert (len(rows), len(norms)) == (calls, int(budget == 0))
+            outs.append(out)
+        assert outs[0] == outs[1] and "residual_norm=" in outs[0]
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_rerun_prints_identical_stdout(self, capsys, star_file, tmp_path,
@@ -375,6 +405,30 @@ class TestOracleAndAccuracy:
                                     "--c", "0.8", "--scores", ap])
         assert code == 0
         assert float(out.strip()) <= 1e-3
+
+    @pytest.mark.parametrize("body, line, message", [
+        ("0\t1\tnan\n", 1, "expected a finite score, got 'nan'"),
+        ("0\t1\t0.5\n0\t2\tinf\n", 2, "expected a finite score, got 'inf'"),
+        ("0\t1\t-inf\n", 1, "expected a finite score, got '-inf'"),
+        ("0\t1\t0.5\n1\t0\t0.5\n\n0\t1\t0.25\n", 4,
+         "pair (0, 1) already listed on line 1"),
+        ("x\t1\t0.5\n", 1, "expected integer vertex ids, got 'x' and '1'"),
+        ("0\t1\t0.5\n0\t4\t0.5\n", 2,
+         "vertex 4 out of range for graph with 4 vertices"),
+    ], ids=["nan", "inf", "-inf", "duplicate", "x-id", "id-n"])
+    def test_bad_score_lines_name_file_and_line(self, capsys, monkeypatch,
+                                                star_file, tmp_path, body,
+                                                line, message):
+        """The score file is read and checked before the oracle runs."""
+        def untouched(*args, **kwargs):
+            raise AssertionError("oracle ran")
+        monkeypatch.setattr(cli, "naive_simrank", untouched)
+        path = tmp_path / "scores.tsv"
+        path.write_text(body)
+        code, out, err = run(capsys, ["accuracy", "--graph", star_file,
+                                      "--scores", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"error: {path}:{line}: {message}\n"
 
     def test_oracle_output(self, capsys, star_file, tmp_path):
         out_path = tmp_path / "orc.tsv"

@@ -149,6 +149,21 @@ class TestExactEstimation:
         D = sr.estimate_diagonal(g, cfg, EstimationConfig())
         assert len(D) == 0
         assert sr.residual_norm(g, cfg, D) == 0.0
+        assert D.residual == 0.0
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_update_landing_on_a_bound_is_no_clamp(self, monkeypatch, L):
+        """At slack 0 the upper bound is 1.0, and a vertex with no in-links
+        starts at D_kk = 1 with the row e_k, so its update lands on the bound
+        exactly: that is no clamp."""
+        monkeypatch.setattr(diag, "EXACT_CLAMP_SLACK", 0.0)
+        g = sr.Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 1)])
+        cfg = sr.Config(c=0.6, T=8)
+        D = sr.estimate_diagonal(g, cfg, EstimationConfig(L=L))
+        ref = dict_estimate_diagonal(g, cfg, L)
+        assert D.values[[0, 4]].tolist() == [1.0, 1.0]
+        assert np.max(np.abs(D.values - ref.values)) <= 1e-12
+        assert (D.clamped, D.skipped) == (ref.clamped, ref.skipped)
 
     def test_values_stay_in_clamp_range(self, random_graphs):
         cfg = sr.Config(c=0.9, T=20)
@@ -226,6 +241,25 @@ class TestBlockKernel:
         for D in runs[1:]:
             assert np.array_equal(D.values, runs[0].values)
             assert (D.clamped, D.skipped) == (runs[0].clamped, runs[0].skipped)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gb=blocked_digraphs(), c=st.floats(0.2, 0.9),
+           T=st.integers(1, 15), L=st.integers(1, 4), R=st.integers(1, 20))
+    def test_residual_read_off_kept_rows(self, monkeypatch, gb, c, T, L, R):
+        """With every row kept D.residual is residual_norm of the returned D
+        bitwise; with one entry too few to keep them all, and in MC mode,
+        it is None."""
+        g, size = gb
+        monkeypatch.setattr(diag, "BLOCK_BUDGET", size * g.n)
+        cfg = sr.Config(c=c, T=T)
+        monkeypatch.setattr(diag, "ROW_BUDGET", g.n * g.n)
+        D = sr.estimate_diagonal(g, cfg, EstimationConfig(L=L))
+        assert D.residual == sr.residual_norm(g, cfg, D)
+        mc = sr.estimate_diagonal(g, cfg, EstimationConfig(L=L, R=R, mode="mc"))
+        assert mc.residual is None
+        monkeypatch.setattr(diag, "ROW_BUDGET", g.n * g.n - 1)
+        assert sr.estimate_diagonal(g, cfg, EstimationConfig(L=L)).residual is None
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

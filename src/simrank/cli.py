@@ -14,6 +14,7 @@ cmd_x_y.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -24,26 +25,28 @@ import numpy as np
 from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
                    load_diagonal, residual_norm, save_diagonal,
                    source_blocks)
-from .graph import Config, Graph, check_vertex, load_edge_list
-from .join import DEFAULT_BETA_SKIP, check_join_args, join
-from .mc import check_walk_count, mc_single_pair, mc_single_source
-from .oracle import naive_simrank
-from .query import (DEFAULT_OUTPUT_THRESHOLD, all_pairs, single_pair,
-                    single_source, tsv_rows)
-from .topk import topk_query
+from .graph import (Config, Graph, check_vertex, check_walk_count,
+                    load_edge_list)
+from .join import (DEFAULT_BETA_SKIP, DEFAULT_GAMMA_ACC, DEFAULT_P,
+                   DEFAULT_R_MAX, check_join_args, join)
+from .mc import mc_single_pair, mc_single_source
+from .oracle import DEFAULT_CAP, mean_error, naive_simrank
+from .query import (DEFAULT_OUTPUT_THRESHOLD, all_pairs, check_threshold,
+                    single_pair, single_source, tsv_rows)
+from .topk import DEFAULT_THETA_FLOOR, check_topk_args, topk_query
 
-# largest n*m*T for which a command without --diag estimates the diagonal
-# exactly (L=3).  At the cap that took 0.2 s (uniform, n=1000, m=22700) to
-# 2.3 s (a 4767-vertex path) on a 2-vCPU Xeon, 0.8-11 ns per unit: the dense
-# n x block arrays add a cost in n^2 T that n*m*T does not count
-EXACT_DEFAULT_MAX_WORK = 250_000_000
+# largest L*n*(n+m)*T, L of EstimationConfig(), for which a command without
+# --diag estimates the diagonal exactly; n^2 prices the dense n x block arrays.
+# On a 2-vCPU Xeon uniform n=1000, m=22700 (7.8e8) took 0.13 s; uniform
+# n=4081, m=2840 (9.3e8) took 1.6 s and a 4767-vertex path (1.5e9) 1.9 s
+EXACT_DEFAULT_MAX_WORK = 800_000_000
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph", required=True, help="edge list file, 'u v' per line")
-    parser.add_argument("--c", type=float, default=0.6, help="decay factor")
-    parser.add_argument("--T", type=int, default=11, help="truncation depth")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
+    parser.add_argument("--c", type=float, default=Config.c, help="decay factor")
+    parser.add_argument("--T", type=int, default=Config.T, help="truncation depth")
+    parser.add_argument("--seed", type=int, default=Config.seed, help="RNG seed")
 
 
 def _load_graph(args) -> tuple[Graph, Config]:
@@ -57,9 +60,7 @@ def _diagonal(args, g: Graph, cfg: Config) -> DiagonalCorrection:
     refused above EXACT_DEFAULT_MAX_WORK."""
     if getattr(args, "diag", None):
         D = load_diagonal(args.diag)
-        if len(D) != g.n:
-            raise ValueError(
-                f"diagonal file has {len(D)} values but graph has {g.n} vertices")
+        D.as_array(g.n)  # raises unless D has a value per vertex
         c = D.params.get("c")
         if c is not None and c != cfg.c:
             raise ValueError(
@@ -73,13 +74,19 @@ def _diagonal(args, g: Graph, cfg: Config) -> DiagonalCorrection:
                 f"diagonal file {args.diag} was estimated at T={T}, "
                 f"but --T is {cfg.T}; it needs T >= {cfg.T}")
         return D
-    work = g.n * g.m * cfg.T
+    est_cfg = EstimationConfig()
+    work = est_cfg.L * g.n * (g.n + g.m) * cfg.T
     if work > EXACT_DEFAULT_MAX_WORK:
         raise ValueError(
-            f"without --diag the diagonal is estimated exactly, and n*m*T = "
-            f"{work} exceeds {EXACT_DEFAULT_MAX_WORK}; estimate it with "
-            f"'estimate-diag --mode mc --out FILE' and pass --diag FILE")
-    return estimate_diagonal(g, cfg, EstimationConfig(L=3, mode="exact"))
+            f"without --diag the diagonal is estimated exactly, and "
+            f"L*n*(n+m)*T = {work} exceeds {EXACT_DEFAULT_MAX_WORK}; estimate "
+            f"it with 'estimate-diag --mode mc --out FILE' and pass --diag FILE")
+    return estimate_diagonal(g, cfg, est_cfg)
+
+
+def _sink(path):
+    """The --out file opened for writing, or stdout, left open by ``with``."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_estimate_diag(args) -> int:
@@ -114,8 +121,7 @@ def cmd_query(args) -> int:
     if args.submode == "allpairs":
         if not args.out:
             raise ValueError("allpairs requires --out")
-        if not np.isfinite(args.threshold):
-            raise ValueError(f"--threshold must be finite, got {args.threshold}")
+        check_threshold(args.threshold)
         if args.estimator == "mc":
             raise ValueError("allpairs has no Monte-Carlo estimator; "
                              "drop --estimator mc")
@@ -145,10 +151,7 @@ def cmd_query(args) -> int:
 def cmd_topk(args) -> int:
     g, cfg = _load_graph(args)
     check_vertex(g, args.source)
-    if args.k < 1:
-        raise ValueError(f"--k must be >= 1, got {args.k}")
-    if not np.isfinite(args.theta_floor):
-        raise ValueError(f"--theta-floor must be finite, got {args.theta_floor}")
+    check_topk_args(args.k, args.theta_floor)
     mc = args.estimator == "mc"
     if mc:
         check_walk_count(args.R)
@@ -173,14 +176,10 @@ def cmd_join(args) -> int:
     result = join(g, cfg, D, args.theta, gamma_acc=args.gamma,
                   beta_skip=beta_skip, p=args.p, R_max=args.rmax,
                   rng=cfg.rng())
-    sink = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _sink(args.out) as sink:
         for i, j in sorted(result.result):
             source = "filter" if (i, j) in result.J_L else "verified"
             sink.write(f"{i}\t{j}\t{source}\n")
-    finally:
-        if args.out:
-            sink.close()
     print(json.dumps(result.stats, sort_keys=True), file=sys.stderr)
     return 0
 
@@ -188,15 +187,11 @@ def cmd_join(args) -> int:
 def cmd_oracle(args) -> int:
     g, cfg = _load_graph(args)
     S = naive_simrank(g, cfg, cap=args.cap)
-    sink = open(args.out, "w") if args.out else sys.stdout
     js = np.arange(g.n)
-    try:
+    with _sink(args.out) as sink:
         for ks in source_blocks(g.n):
             sink.write(tsv_rows((np.repeat(ks, g.n), np.tile(js, len(ks))),
                                 S[ks].ravel()))
-    finally:
-        if args.out:
-            sink.close()
     return 0
 
 
@@ -204,8 +199,7 @@ def cmd_accuracy(args) -> int:
     g, cfg = _load_graph(args)
     S_est = _read_scores(args.scores, g)
     S_true = naive_simrank(g, cfg, cap=args.cap)
-    me = float(np.abs(S_est - S_true).sum() / (g.n * g.n))
-    print(f"{me:.9f}")
+    print(f"{mean_error(S_est, S_true):.9f}")
     return 0
 
 
@@ -258,9 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-diag", help="estimate the diagonal correction")
     _add_common(p)
-    p.add_argument("--L", type=int, default=3, help="Gauss-Seidel sweeps")
-    p.add_argument("--R", type=int, default=100, help="walks per estimate (mc mode)")
-    p.add_argument("--mode", choices=("exact", "mc"), default="exact")
+    p.add_argument("--L", type=int, default=EstimationConfig.L, help="Gauss-Seidel sweeps")
+    p.add_argument("--R", type=int, default=EstimationConfig.R,
+                   help="walks per estimate (mc mode)")
+    p.add_argument("--mode", choices=("exact", "mc"), default=EstimationConfig.mode)
     p.add_argument("--out", required=True, help="output diagonal file")
 
     p = sub.add_parser("query", help="similarity scores for pairs or sources")
@@ -280,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--source", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--theta-floor", type=float, default=0.0, dest="theta_floor")
+    p.add_argument("--theta-floor", type=float, default=DEFAULT_THETA_FLOOR, dest="theta_floor")
     p.add_argument("--diag", help="diagonal file (default: exact estimate)")
     p.add_argument("--estimator", choices=("exact", "mc"), default="exact")
     p.add_argument("--R", type=int, default=100,
@@ -290,16 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--theta", type=float, default=0.2,
                    help="similarity threshold in (0,1)")
-    p.add_argument("--gamma", type=float, default=0.0,
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_ACC,
                    help="accuracy split in [0,1); larger lowers the filter "
                         "tolerance (1-c)(1-gamma)theta, so the filter does more "
                         "work and fewer pairs go to verification")
     p.add_argument("--beta-skip", type=float, default=DEFAULT_BETA_SKIP,
                    dest="beta_skip",
                    help="thresholding rate; <= 0 disables thresholding")
-    p.add_argument("--p", type=float, default=0.01,
+    p.add_argument("--p", type=float, default=DEFAULT_P,
                    help="verification failure probability")
-    p.add_argument("--rmax", type=int, default=1000,
+    p.add_argument("--rmax", type=int, default=DEFAULT_R_MAX,
                    help="verification sample cap per pair; the look-ahead "
                         "stops at a step storing more entries than this many "
                         "per pair left")
@@ -308,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="converged scores by fixed-point iteration")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=5000, help="vertex cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="vertex cap")
     p.add_argument("--out", help="output file (default stdout)")
 
     p = sub.add_parser("accuracy", help="mean error of a score file vs the oracle")
     _add_common(p)
     p.add_argument("--scores", required=True,
                    help="TSV 'i<TAB>j<TAB>score'; missing entries count as 0")
-    p.add_argument("--cap", type=int, default=5000, help="oracle vertex cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle vertex cap")
     return top
 
 

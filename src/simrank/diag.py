@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Config, Graph, walk_steps
+from .graph import Config, Graph, check_walk_count, walk_steps
 
 EXACT_CLAMP_SLACK = 1e-9
 MC_CLAMP_SLACK = 0.05
@@ -43,6 +43,10 @@ BLOCK_BUDGET = 2**15
 ROW_BUDGET = 2**20
 # walks in flight in one MC block: a block holds max(1, WALK_BUDGET // R) sources
 WALK_BUDGET = 2**15
+# the diagonal file's header fields after "n", in file order, with the type
+# load_diagonal reads each as; the value None is written and read as "None"
+HEADER_FIELDS = {"c": float, "T": int, "L": int, "R": int, "mode": str,
+                 "seed": int}
 
 
 @dataclass
@@ -64,7 +68,12 @@ class DiagonalCorrection:
     def __len__(self) -> int:
         return len(self.values)
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self, n: int | None = None) -> np.ndarray:
+        """The values as floats; with n given, raise ValueError unless
+        there are n of them, one per vertex of the graph a query runs on."""
+        if n is not None and len(self) != n:
+            raise ValueError(
+                f"diagonal has {len(self)} values but graph has {n} vertices")
         return np.asarray(self.values, dtype=float)
 
 
@@ -79,8 +88,8 @@ class EstimationConfig:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.mode not in ("exact", "mc"):
             raise ValueError(f"mode must be 'exact' or 'mc', got {self.mode!r}")
-        if self.mode == "mc" and self.R < 1:
-            raise ValueError(f"R must be >= 1 in mc mode, got {self.R}")
+        if self.mode == "mc":
+            check_walk_count(self.R)
 
     @property
     def clamp_slack(self) -> float:
@@ -145,13 +154,8 @@ def walk_rows(g: Graph, cfg: Config, ks: np.ndarray, R: int,
     keys, vals = [], []
     weight = 1.0
     for pos, walk in walk_steps(g, np.repeat(ks, R), cfg.T, rng):
-        key = row_of_walk[walk] + pos
-        key.sort()
-        edge = np.ones(len(key) + 1, dtype=bool)  # run boundaries of equal keys
-        np.not_equal(key[1:], key[:-1], out=edge[1:-1])
-        bounds = np.flatnonzero(edge)
-        counts = bounds[1:] - bounds[:-1]
-        keys.append(key[bounds[:-1]])
+        key, counts = np.unique(row_of_walk[walk] + pos, return_counts=True)
+        keys.append(key)
         vals.append(weight * (counts / R) ** 2)
         weight *= cfg.c
     key = np.concatenate(keys)
@@ -187,9 +191,9 @@ def inner_estimates(g: Graph, cfg: Config, D: DiagonalCorrection, k: int,
     both are read off the one-source row W[k, :] of ``weight_rows`` (exact)
     or ``walk_rows`` (mc, squared empirical frequencies of R walks).
     """
+    d = D.as_array(g.n)
     ks = np.array([k])
     W = _block_rows(g, cfg, est_cfg, ks, rng if rng is not None else cfg.seed)
-    d = D.as_array()
     b = W.data @ d[W.indices] if sp.issparse(W) else W[0] @ d
     return float(_block_diagonal(W, ks)[0]), float(b)
 
@@ -261,7 +265,7 @@ def estimate_diagonal(g: Graph, cfg: Config,
 def residual_norm(g: Graph, cfg: Config, D: DiagonalCorrection) -> float:
     """max_k |S^L(D)_kk - 1| with S^L truncated at T, exact, block by block;
     0.0 on a graph with no vertices."""
-    dvals = D.as_array()
+    dvals = D.as_array(g.n)
     return max((float(np.max(np.abs(weight_rows(g, cfg, ks) @ dvals - 1.0)))
                 for ks in source_blocks(g.n)), default=0.0)
 
@@ -278,12 +282,10 @@ def _params(cfg: Config, est_cfg: EstimationConfig | None, mode: str) -> dict:
 
 
 def save_diagonal(path, D: DiagonalCorrection) -> None:
-    """Write D as a header line and one %.17g value per line."""
-    p = D.params
-    header = ("simrank-diag v1 n={n} c={c} T={T} L={L} R={R} "
-              "mode={mode} seed={seed}").format(
-        n=len(D.values), c=p.get("c"), T=p.get("T"), L=p.get("L"),
-        R=p.get("R"), mode=p.get("mode"), seed=p.get("seed"))
+    """Write D as a header line, "simrank-diag v1 n=N" and the HEADER_FIELDS
+    of D.params as key=value, and one %.17g value per line."""
+    header = " ".join([f"simrank-diag v1 n={len(D.values)}",
+                       *(f"{key}={D.params.get(key)}" for key in HEADER_FIELDS)])
     with open(path, "w") as fh:
         fh.write(header + "\n"
                  + "".join(map("{:.17g}\n".format, D.as_array().tolist())))
@@ -302,15 +304,13 @@ def load_diagonal(path) -> DiagonalCorrection:
         fields = header.split()
         if fields[:2] != ["simrank-diag", "v1"]:
             raise ValueError(f"not a diagonal file: header {header!r}")
-        params = {}
-        for item in fields[2:]:
-            key, _, raw = item.partition("=")
-            params[key] = raw
+        params = dict(item.partition("=")[::2] for item in fields[2:])
         try:
             n = int(params.pop("n"))
             if n < 0:
                 raise ValueError
-            typed = {key: _typed(key, raw) for key, raw in params.items()}
+            typed = {key: None if raw == "None" else HEADER_FIELDS.get(key, str)(raw)
+                     for key, raw in params.items()}
         except (KeyError, ValueError):
             raise ValueError(f"{path}:1: bad diagonal header {header!r}") from None
         lines = fh.read().split("\n", n)
@@ -344,13 +344,3 @@ def _raise_at_bad_line(path, lines: list[str], n: int) -> None:
                 f"non-negative, got {line.strip()!r}")
     raise ValueError(
         f"{path}:{len(lines) + 2}: file ends after {len(lines)} of {n} values")
-
-
-def _typed(key: str, raw: str):
-    if raw == "None":
-        return None
-    if key in ("T", "L", "R", "seed"):
-        return int(raw)
-    if key == "c":
-        return float(raw)
-    return raw

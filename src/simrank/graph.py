@@ -126,6 +126,12 @@ def check_vertex(g: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for graph with {g.n} vertices")
 
 
+def check_walk_count(R: int) -> None:
+    """Raise ValueError unless a walk estimator's R is at least 1."""
+    if not R >= 1:
+        raise ValueError(f"R must be >= 1, got {R}")
+
+
 def _split(adj: np.ndarray, ptr: np.ndarray) -> list[list[int]]:
     """[adj[ptr[v]:ptr[v + 1]] for every v], as lists of ints."""
     flat = adj.tolist()

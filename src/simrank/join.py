@@ -30,6 +30,9 @@ from .mc import check_verify_args, verify_pairs
 
 MAX_ENTRIES = 2 * 10**8
 DEFAULT_BETA_SKIP = 100.0
+DEFAULT_GAMMA_ACC = 0.0
+DEFAULT_P = 0.01
+DEFAULT_R_MAX = 1000
 
 
 class MemoryCapExceeded(RuntimeError):
@@ -40,9 +43,9 @@ class MemoryCapExceeded(RuntimeError):
         self.stats = stats
 
 
-def check_join_args(theta: float, gamma_acc: float = 0.0,
-                    beta_skip: float | None = None, p: float = 0.01,
-                    R_max: int = 1000) -> None:
+def check_join_args(theta: float, gamma_acc: float = DEFAULT_GAMMA_ACC,
+                    beta_skip: float | None = None, p: float = DEFAULT_P,
+                    R_max: int = DEFAULT_R_MAX) -> None:
     """Raise ValueError naming the first join argument that is out of range.
 
     Every comparison is written so that nan fails it: theta, p and R_max as
@@ -215,7 +218,7 @@ class FilterResult:
 
 
 def gauss_southwell_filter(g: Graph, cfg: Config, D: DiagonalCorrection,
-                           theta: float, gamma_acc: float = 0.0,
+                           theta: float, gamma_acc: float = DEFAULT_GAMMA_ACC,
                            beta_skip: float | None = None,
                            rng: np.random.Generator | None = None) -> FilterResult:
     """Run the residual filter to tolerance eps = (1-c)(1-gamma_acc) theta.
@@ -244,7 +247,7 @@ def gauss_southwell_filter(g: Graph, cfg: Config, D: DiagonalCorrection,
     MAX_ENTRIES stored raises MemoryCapExceeded.
     """
     check_join_args(theta, gamma_acc, beta_skip)
-    dvals = D.as_array()
+    dvals = D.as_array(g.n)
     bad = ~(np.isfinite(dvals) & (dvals >= 0.0))
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
@@ -385,8 +388,8 @@ def _pairs(A: sp.csr_matrix, keep: np.ndarray) -> set[tuple[int, int]]:
 
 
 def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
-         gamma_acc: float = 0.0, beta_skip: float | None = None,
-         p: float = 0.01, R_max: int = 1000,
+         gamma_acc: float = DEFAULT_GAMMA_ACC, beta_skip: float | None = None,
+         p: float = DEFAULT_P, R_max: int = DEFAULT_R_MAX,
          rng: np.random.Generator | None = None) -> JoinResult:
     """All unordered vertex pairs with similarity >= theta (whp).
 

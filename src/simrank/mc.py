@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diag import DiagonalCorrection
-from .graph import Config, Graph, check_vertex, walk_positions, walk_steps
+from .graph import (Config, Graph, check_vertex, check_walk_count,
+                    walk_positions, walk_steps)
 from .query import fold_series
 
 VERIFY_CHUNK = 64
@@ -23,12 +24,6 @@ VERIFY_CHUNK = 64
 # max(1, VERIFY_BUDGET // chunk) pairs, so its arrays stay near 2^13 entries
 # however many pairs a join sends to verification
 VERIFY_BUDGET = 2**13
-
-
-def check_walk_count(R: int) -> None:
-    """Raise ValueError unless a walk estimator's R is at least 1."""
-    if not R >= 1:
-        raise ValueError(f"R must be >= 1, got {R}")
 
 
 def check_verify_args(theta: float, p: float, R_max: int) -> None:
@@ -55,9 +50,9 @@ def mc_single_pair(g: Graph, cfg: Config, D: DiagonalCorrection,
     check_walk_count(R)
     check_vertex(g, i)
     check_vertex(g, j)
+    dvals = D.as_array(g.n)
     if i == j:
         return 1.0
-    dvals = D.as_array()
     score = 0.0
     weight = 1.0
     for pos, walk in walk_steps(g, np.repeat([i, j], R), cfg.T, rng):
@@ -82,7 +77,7 @@ def mc_single_source(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,
     """
     check_walk_count(R)
     check_vertex(g, u)
-    scale = D.as_array() / R
+    scale = D.as_array(g.n) / R
     return fold_series(g, cfg, [scale * h
                                 for h in walk_positions(g, u, cfg.T, R, rng)])
 

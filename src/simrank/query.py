@@ -15,13 +15,19 @@ from .graph import Config, Graph, check_vertex
 DEFAULT_OUTPUT_THRESHOLD = 1e-4
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless the all-pairs emission threshold is finite."""
+    if not np.isfinite(threshold):
+        raise ValueError(f"all-pairs threshold must be finite, got {threshold}")
+
+
 def single_pair(g: Graph, cfg: Config, D: DiagonalCorrection,
                 i: int, j: int) -> float:
     """s^(T)(i,j) = sum_{t<T} c^t (P^t e_i)^T D (P^t e_j), over the two
     ``propagate`` streams of i and j."""
     check_vertex(g, i)
     check_vertex(g, j)
-    dvals = D.as_array()
+    dvals = D.as_array(g.n)
     score = 0.0
     weight = 1.0
     for x, y in zip(propagate(g, cfg, i), propagate(g, cfg, j)):
@@ -143,7 +149,7 @@ def single_source(g: Graph, cfg: Config, D: DiagonalCorrection,
     of ``all_pairs``'s kernel, the stack D P^t e_i for t < T folded by
     ``fold_series``.  O(T m) time and O(T n) extra memory."""
     check_vertex(g, i)
-    dvals = D.as_array()
+    dvals = D.as_array(g.n)
     return fold_series(g, cfg, [dvals * x for x in propagate(g, cfg, i)])
 
 
@@ -165,9 +171,8 @@ def all_pairs(g: Graph, cfg: Config, D: DiagonalCorrection, sink,
     emits every entry; a non-finite threshold raises ValueError.  Returns
     the row count.
     """
-    if not np.isfinite(threshold):
-        raise ValueError(f"all-pairs threshold must be finite, got {threshold}")
-    dvals = D.as_array()[:, None]
+    check_threshold(threshold)
+    dvals = D.as_array(g.n)[:, None]
     stack = None
     rows = 0
     for ks in source_blocks(g.n):
@@ -186,7 +191,7 @@ def all_pairs(g: Graph, cfg: Config, D: DiagonalCorrection, sink,
 def dense_truncated(g: Graph, cfg: Config, D: DiagonalCorrection) -> np.ndarray:
     """Full truncated matrix sum_{t<T} c^t P^{T t} D P^t; small n only."""
     P = g.dense_P()
-    term = np.diag(D.as_array())
+    term = np.diag(D.as_array(g.n))
     S = np.zeros((g.n, g.n))
     weight = 1.0
     for _ in range(cfg.T):

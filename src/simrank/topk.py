@@ -31,6 +31,7 @@ from .query import single_source
 
 DEFAULT_P_WALKS = 10
 DEFAULT_Q_WALKS = 5
+DEFAULT_THETA_FLOOR = 0.0
 
 
 @dataclass
@@ -48,7 +49,7 @@ class BoundsIndex:
 def build_gamma(g: Graph, cfg: Config, D: DiagonalCorrection,
                 u: int) -> np.ndarray:
     """Row gamma(u, t) = ||sqrt(D) P^t e_u|| for t = 0..T-1."""
-    dvals = D.as_array()
+    dvals = D.as_array(g.n)
     return np.array([np.sqrt(np.sum(dvals * x * x))
                      for x in propagate(g, cfg, u)])
 
@@ -61,7 +62,7 @@ def build_alpha_beta(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,
     truncated score of any v at undirected distance d because step-t walk
     positions stay within distance t of their start.
     """
-    dvals = D.as_array()
+    dvals = D.as_array(g.n)
     dist_map = bfs_distances(g, u, d_max)
     dist_arr = np.full(g.n, -1, dtype=np.int64)
     for w, d in dist_map.items():
@@ -165,9 +166,17 @@ def build_bounds_index(g: Graph, cfg: Config, D: DiagonalCorrection,
     return BoundsIndex(build_candidate_index(g, cfg, rng=rng))
 
 
+def check_topk_args(k: int, theta_floor: float) -> None:
+    """Raise ValueError unless k >= 1 and theta_floor is finite."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not np.isfinite(theta_floor):
+        raise ValueError(f"theta_floor must be finite, got {theta_floor}")
+
+
 def topk_query(g: Graph, cfg: Config, D: DiagonalCorrection,
                index: BoundsIndex | None, u: int, k: int,
-               theta_floor: float = 0.0,
+               theta_floor: float = DEFAULT_THETA_FLOOR,
                adaptive: tuple[int, int] | None = None,
                rng: np.random.Generator | None = None) -> list[tuple[int, float]]:
     """Up to k (vertex, score) pairs v != u, by descending score, ties by ascending id.
@@ -176,17 +185,14 @@ def topk_query(g: Graph, cfg: Config, D: DiagonalCorrection,
     ``index.candidates[u]`` when an index is given, keeps scores strictly
     above theta_floor (so at the default 0.0 no zero-score vertex is listed),
     and returns the best k, a tie at the kth place going to the lower id.
-    k < 1 or a non-finite theta_floor raises ValueError before any work.
+    ``check_topk_args`` runs before any work.
 
     With adaptive=None the column is the exact ``single_source(g, cfg, D, u)``.
     With adaptive=(R_lo, R_hi) it is ``mc_single_source`` from R_hi walks
     drawn on rng (default ``cfg.rng()``), and R_lo is unread: the pair is the
     shape the benchmark's mc-powerlaw workload passes.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not np.isfinite(theta_floor):
-        raise ValueError(f"theta_floor must be finite, got {theta_floor}")
+    check_topk_args(k, theta_floor)
     check_vertex(g, u)
     allowed = None if index is None else index.candidates.get(u, set())
     if adaptive is None:

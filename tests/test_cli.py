@@ -27,6 +27,10 @@ def star_diag(tmp_path, star_file, capsys):
     return out
 
 
+# stands for the --out path in a parameter table; each test fills it in
+OUT = object()
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -164,7 +168,7 @@ class TestQuery:
                                           "allpairs", "--threshold", "nan",
                                           "--out", str(out_path)])
             assert code == 1 and out == ""
-            assert err.startswith("error: --threshold") and "nan" in err
+            assert err.startswith("error: all-pairs threshold") and "nan" in err
             assert not out_path.exists()
 
     @pytest.mark.parametrize("R", ["0", "100"])
@@ -248,7 +252,7 @@ class TestQuery:
 
     def test_exact_default_refused_above_work_limit(self, capsys, monkeypatch,
                                                     star_file, star_diag):
-        work = 4 * 6 * 40  # the star's n * m * T
+        work = 3 * 4 * (4 + 6) * 40  # the star's L * n * (n + m) * T
         argv = ["query", "--graph", star_file, "--c", "0.8", "--T", "40",
                 "pair", "1", "2"]
         monkeypatch.setattr(cli, "EXACT_DEFAULT_MAX_WORK", work - 1)
@@ -297,24 +301,55 @@ class TestTopk:
             assert err == f"error: R must be >= 1, got {R}\n"
 
     @pytest.mark.parametrize("flags, message", [
-        *(pytest.param(["--k", "2", f"--theta-floor={floor}"],
-                       f"--theta-floor must be finite, got {floor}", id=floor)
+        *(pytest.param(["topk", "--source", "1", "--k", "2",
+                        f"--theta-floor={floor}"],
+                       f"theta_floor must be finite, got {floor}", id=floor)
           for floor in ("nan", "inf", "-inf")),
-        pytest.param(["--k", "0"], "--k must be >= 1, got 0", id="k=0")])
+        pytest.param(["topk", "--source", "1", "--k", "0"],
+                     "k must be >= 1, got 0", id="k=0"),
+        pytest.param(["topk", "--source", "1", "--k", "2", "--estimator", "mc",
+                      "--R", "0"], "R must be >= 1, got 0", id="topk-mc-R=0"),
+        pytest.param(["query", "allpairs", "--threshold", "nan", "--out", OUT],
+                     "all-pairs threshold must be finite, got nan",
+                     id="allpairs-threshold=nan"),
+        pytest.param(["query", "pair", "0", "1", "--estimator", "mc",
+                      "--R", "0"], "R must be >= 1, got 0", id="query-mc-R=0"),
+        pytest.param(["estimate-diag", "--mode", "mc", "--R", "0",
+                      "--out", OUT], "R must be >= 1, got 0",
+                     id="estimate-diag-mc-R=0"),
+        pytest.param(["join", "--theta", "1.2", "--out", OUT],
+                     "theta must be in (0,1), got 1.2", id="join-theta=1.2"),
+        pytest.param(["join", "--gamma", "1", "--out", OUT],
+                     "gamma_acc must be in [0,1), got 1.0", id="join-gamma=1"),
+        pytest.param(["join", "--p", "0", "--out", OUT],
+                     "p must be in (0,1), got 0.0", id="join-p=0"),
+        pytest.param(["join", "--rmax", "0", "--out", OUT],
+                     "R_max must be >= 1, got 0", id="join-rmax=0"),
+        pytest.param(["join", "--beta-skip", "inf", "--out", OUT],
+                     "--beta-skip must be finite, got inf",
+                     id="join-beta-skip=inf")])
     def test_non_finite_theta_floor_checked_before_the_diagonal(
             self, capsys, monkeypatch, tmp_path, star_file, star_diag, flags,
             message):
+        """Every subcommand's argument rules run before the diagonal is read
+        or estimated and before --out is opened, with the message of the
+        library function that owns the rule."""
         def untouched(*args, **kwargs):
             raise AssertionError("diagonal touched")
         monkeypatch.setattr(cli, "load_diagonal", untouched)
         monkeypatch.setattr(cli, "estimate_diagonal", untouched)
         missing = str(tmp_path / "missing.diag")
-        for diag in (["--diag", star_diag], ["--diag", missing], []):
-            code, out, err = run(capsys, ["topk", "--graph", star_file,
+        out_path = tmp_path / "out"
+        command, *rest = [str(out_path) if f is OUT else f for f in flags]
+        diags = ([["--diag", star_diag], ["--diag", missing], []]
+                 if command != "estimate-diag" else [[]])
+        for diag in diags:
+            code, out, err = run(capsys, [command, "--graph", star_file,
                                           "--c", "0.8", "--T", "40", *diag,
-                                          "--source", "1", *flags])
+                                          *rest])
             assert code == 1 and out == ""
             assert err == f"error: {message}\n"
+            assert not out_path.exists()
 
 
 class TestJoin:
@@ -524,7 +559,8 @@ class TestReproducibility:
                                         "--R", "50", "--seed", "7",
                                         "pair", "1", "2"])
             assert code == 0
-            outs.append((open(d).read(), out))
+            with open(d) as fh:
+                outs.append((fh.read(), out))
         assert outs[0] == outs[1]
 
 

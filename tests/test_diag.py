@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -484,3 +486,36 @@ class TestPersistence:
                         "mode=exact seed=0\n" + body)
         with pytest.raises(ValueError, match=rf"cut\.diag:{line}: "):
             sr.load_diagonal(path)
+
+
+# each entry point that reads D, on the 4-vertex star
+DIAGONAL_READERS = {
+    "single_pair": lambda g, cfg, D: sr.single_pair(g, cfg, D, 0, 1),
+    "single_source": lambda g, cfg, D: sr.single_source(g, cfg, D, 0),
+    "all_pairs": lambda g, cfg, D: sr.all_pairs(g, cfg, D, io.StringIO()),
+    "mc_single_pair": lambda g, cfg, D: sr.mc_single_pair(
+        g, cfg, D, 0, 1, 10, cfg.rng()),
+    "mc_single_source": lambda g, cfg, D: sr.mc_single_source(
+        g, cfg, D, 0, 10, cfg.rng()),
+    "topk_query": lambda g, cfg, D: sr.topk_query(g, cfg, D, None, 0, 2),
+    "gauss_southwell_filter": lambda g, cfg, D: sr.gauss_southwell_filter(
+        g, cfg, D, 0.5),
+    "join": lambda g, cfg, D: sr.join(g, cfg, D, 0.5),
+    "build_gamma": lambda g, cfg, D: sr.build_gamma(g, cfg, D, 0),
+    "build_alpha_beta": lambda g, cfg, D: sr.build_alpha_beta(g, cfg, D, 0, 2),
+    "inner_estimates": lambda g, cfg, D: inner_estimates(
+        g, cfg, D, 0, EstimationConfig()),
+    "residual_norm": lambda g, cfg, D: sr.residual_norm(g, cfg, D),
+}
+
+
+class TestDiagonalLength:
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    @pytest.mark.parametrize("reader", sorted(DIAGONAL_READERS))
+    def test_diagonal_of_another_length_is_refused(self, star, reader, size):
+        """A D with one value, or n - 1 or n + 1 values, is refused with a
+        message naming both counts, not broadcast or indexed into."""
+        D = DiagonalCorrection(np.full(size, 0.5))
+        with pytest.raises(ValueError, match=f"diagonal has {size} values "
+                                             "but graph has 4 vertices"):
+            DIAGONAL_READERS[reader](star, sr.Config(c=0.6, T=5), D)

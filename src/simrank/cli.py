@@ -22,23 +22,23 @@ import time
 
 import numpy as np
 
-from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
-                   load_diagonal, residual_norm, save_diagonal,
-                   source_blocks)
+from .diag import (ROW_BUDGET, DiagonalCorrection, EstimationConfig,
+                   estimate_diagonal, load_diagonal, residual_norm,
+                   save_diagonal, source_blocks)
 from .graph import (Config, Graph, check_vertex, check_walk_count,
                     load_edge_list)
-from .join import (DEFAULT_BETA_SKIP, DEFAULT_GAMMA_ACC, DEFAULT_P,
-                   DEFAULT_R_MAX, check_join_args, join)
+from .join import DEFAULT_BETA_SKIP, DEFAULT_GAMMA_ACC, check_join_args, join
 from .mc import mc_single_pair, mc_single_source
 from .oracle import DEFAULT_CAP, mean_error, naive_simrank
 from .query import (DEFAULT_OUTPUT_THRESHOLD, all_pairs, check_threshold,
                     single_pair, single_source, tsv_rows)
 from .topk import DEFAULT_THETA_FLOOR, check_topk_args, topk_query
 
-# largest L*n*(n+m)*T, L of EstimationConfig(), for which a command without
-# --diag estimates the diagonal exactly; n^2 prices the dense n x block arrays.
-# On a 2-vCPU Xeon uniform n=1000, m=22700 (7.8e8) took 0.13 s; uniform
-# n=4081, m=2840 (9.3e8) took 1.6 s and a 4767-vertex path (1.5e9) 1.9 s
+# largest passes*n*(n+m)*T for which a command without --diag estimates the
+# diagonal exactly, passes the W passes of EstimationConfig(): 1 when the n^2
+# rows fit diag.ROW_BUDGET, else L; n^2 prices the dense n x block arrays.
+# On a 2-vCPU Xeon uniform n=1000, m=22700 (2.6e8) took 0.11 s; uniform
+# n=4073, m=2840 (9.3e8) took 1.2 s and a 4767-vertex path (1.5e9) 1.9 s
 EXACT_DEFAULT_MAX_WORK = 800_000_000
 
 
@@ -75,12 +75,14 @@ def _diagonal(args, g: Graph, cfg: Config) -> DiagonalCorrection:
                 f"but --T is {cfg.T}; it needs T >= {cfg.T}")
         return D
     est_cfg = EstimationConfig()
-    work = est_cfg.L * g.n * (g.n + g.m) * cfg.T
+    passes = 1 if g.n * g.n <= ROW_BUDGET else est_cfg.L
+    work = passes * g.n * (g.n + g.m) * cfg.T
     if work > EXACT_DEFAULT_MAX_WORK:
         raise ValueError(
             f"without --diag the diagonal is estimated exactly, and "
-            f"L*n*(n+m)*T = {work} exceeds {EXACT_DEFAULT_MAX_WORK}; estimate "
-            f"it with 'estimate-diag --mode mc --out FILE' and pass --diag FILE")
+            f"passes*n*(n+m)*T = {work} exceeds {EXACT_DEFAULT_MAX_WORK}; "
+            f"estimate it with 'estimate-diag --mode mc --out FILE' and pass "
+            f"--diag FILE")
     return estimate_diagonal(g, cfg, est_cfg)
 
 
@@ -171,15 +173,15 @@ def cmd_join(args) -> int:
     if not np.isfinite(args.beta_skip):
         raise ValueError(f"--beta-skip must be finite, got {args.beta_skip}")
     beta_skip = None if args.beta_skip <= 0 else args.beta_skip
-    check_join_args(args.theta, args.gamma, beta_skip, args.p, args.rmax)
+    check_join_args(args.theta, args.gamma, beta_skip)
     D = _diagonal(args, g, cfg)
     result = join(g, cfg, D, args.theta, gamma_acc=args.gamma,
-                  beta_skip=beta_skip, p=args.p, R_max=args.rmax,
-                  rng=cfg.rng())
+                  beta_skip=beta_skip, rng=cfg.rng())
+    # every pair is certified; the third column stays for readers of the
+    # three-column format until the benchmark's re-cut drops it
     with _sink(args.out) as sink:
         for i, j in sorted(result.result):
-            source = "filter" if (i, j) in result.J_L else "verified"
-            sink.write(f"{i}\t{j}\t{source}\n")
+            sink.write(f"{i}\t{j}\tfilter\n")
     print(json.dumps(result.stats, sort_keys=True), file=sys.stderr)
     return 0
 
@@ -288,16 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA_ACC,
                    help="accuracy split in [0,1); larger lowers the filter "
                         "tolerance (1-c)(1-gamma)theta, so the filter does more "
-                        "work and fewer pairs go to verification")
+                        "work and leaves a narrower band to the look-ahead")
     p.add_argument("--beta-skip", type=float, default=DEFAULT_BETA_SKIP,
                    dest="beta_skip",
                    help="thresholding rate; <= 0 disables thresholding")
-    p.add_argument("--p", type=float, default=DEFAULT_P,
-                   help="verification failure probability")
-    p.add_argument("--rmax", type=int, default=DEFAULT_R_MAX,
-                   help="verification sample cap per pair; the look-ahead "
-                        "stops at a step storing more entries than this many "
-                        "per pair left")
     p.add_argument("--diag", help="diagonal file (default: exact estimate)")
     p.add_argument("--out", help="output file (default stdout)")
 

@@ -105,7 +105,7 @@ def initial_guess(g: Graph, cfg: Config) -> DiagonalCorrection:
     values = np.ones(g.n)
     nonzero = g.in_degree > 0
     values[nonzero] -= cfg.c / g.in_degree[nonzero]
-    return DiagonalCorrection(values, params=_params(cfg, None, "initial"))
+    return DiagonalCorrection(values, params=header_params(cfg, mode="initial"))
 
 
 def source_blocks(n: int, size: int | None = None):
@@ -258,7 +258,7 @@ def estimate_diagonal(g: Graph, cfg: Config,
     if exact and len(kept) == len(blocks):
         D.residual = max((float(np.max(np.abs(W @ d - 1.0))) for W in kept),
                          default=0.0)
-    D.params = _params(cfg, est_cfg, est_cfg.mode)
+    D.params = header_params(cfg, est_cfg)
     return D
 
 
@@ -270,15 +270,13 @@ def residual_norm(g: Graph, cfg: Config, D: DiagonalCorrection) -> float:
                 for ks in source_blocks(g.n)), default=0.0)
 
 
-def _params(cfg: Config, est_cfg: EstimationConfig | None, mode: str) -> dict:
-    return {
-        "c": cfg.c,
-        "T": cfg.T,
-        "L": est_cfg.L if est_cfg else None,
-        "R": est_cfg.R if est_cfg else None,
-        "seed": cfg.seed,
-        "mode": mode,
-    }
+def header_params(cfg: Config, est_cfg: EstimationConfig | None = None,
+                  **fixed) -> dict:
+    """D.params for every HEADER_FIELDS key, taken from fixed, else from cfg,
+    else from est_cfg, else None."""
+    return {key: fixed[key] if key in fixed
+            else getattr(cfg, key, getattr(est_cfg, key, None))
+            for key in HEADER_FIELDS}
 
 
 def save_diagonal(path, D: DiagonalCorrection) -> None:

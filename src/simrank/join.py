@@ -7,13 +7,13 @@ round moves all residual entries that reach the tolerance into the solution
 S-tilde at once and spreads c P^T R_sel P of them back into the residual
 R-tilde.  It yields a lower set J_L (certain members) and an upper set J_H
 (possible members, the support of S-tilde at gamma_acc = 0).  The band J_H
-minus J_L first goes through a look-ahead: a few sparse frontier products
+minus J_L then goes through a look-ahead: a few sparse frontier products
 that add later terms of the residual series to each pair's lower bound and
-shrink its upper bound, certifying pairs into J_L or dropping them.  Only
-the band pairs left unsettled go through one batched Monte-Carlo
-verification.  Optional stochastic thresholding drops small fresh residual
-entries to bound memory, with an exponential tail on the total mass dropped
-per entry.
+shrink its upper bound, certifying pairs into J_L or dropping them.  Its
+verdict is final: the pairs it leaves are counted and kept out of the
+result, so the result is exactly J_L.  Optional stochastic thresholding
+drops small fresh residual entries to bound memory, with an exponential
+tail on the total mass dropped per entry.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ import scipy.sparse as sp
 
 from .diag import DiagonalCorrection
 from .graph import Config, Graph
-from .mc import check_verify_args, verify_pairs
 
 MAX_ENTRIES = 2 * 10**8
+# the look-ahead stops after a level whose product with R-tilde stores more
+# than this many entries per pair left
+LOOK_AHEAD_ENTRIES = 1000
 DEFAULT_BETA_SKIP = 100.0
 DEFAULT_GAMMA_ACC = 0.0
-DEFAULT_P = 0.01
-DEFAULT_R_MAX = 1000
 
 
 class MemoryCapExceeded(RuntimeError):
@@ -44,15 +44,14 @@ class MemoryCapExceeded(RuntimeError):
 
 
 def check_join_args(theta: float, gamma_acc: float = DEFAULT_GAMMA_ACC,
-                    beta_skip: float | None = None, p: float = DEFAULT_P,
-                    R_max: int = DEFAULT_R_MAX) -> None:
+                    beta_skip: float | None = None) -> None:
     """Raise ValueError naming the first join argument that is out of range.
 
-    Every comparison is written so that nan fails it: theta, p and R_max as
-    ``mc.check_verify_args`` requires, gamma_acc in [0, 1) and beta_skip
-    (when set) finite and positive.
+    Every comparison is written so that nan fails it: theta in (0, 1),
+    gamma_acc in [0, 1) and beta_skip (when set) finite and positive.
     """
-    check_verify_args(theta, p, R_max)
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must be in (0,1), got {theta}")
     if not 0.0 <= gamma_acc < 1.0:
         raise ValueError(f"gamma_acc must be in [0,1), got {gamma_acc}")
     if beta_skip is not None and not 0.0 < beta_skip < math.inf:
@@ -306,8 +305,8 @@ class LookAhead:
         return ~(self.settled_in | self.settled_out)
 
 
-def look_ahead(g: Graph, cfg: Config, filt: FilterResult, band, theta: float,
-               R_max: int) -> LookAhead:
+def look_ahead(g: Graph, cfg: Config, filt: FilterResult, band,
+               theta: float) -> LookAhead:
     """Settle band pairs (i, j), i < j, by the terms t >= 1 of the invariant.
 
     With F_t = (P^t e_i)^T and G_t = (P^t e_j)^T, the frontier rows after t
@@ -323,9 +322,13 @@ def look_ahead(g: Graph, cfg: Config, filt: FilterResult, band, theta: float,
     Each level takes one product of the stacked frontier rows of every
     endpoint left with P^T and one with the symmetric R-tilde, for all pairs
     at once.  The look-ahead stops when no pair is left, after cfg.T levels,
-    or after a level whose product with R-tilde stores more entries than
-    R_max per pair left: the samples verification could draw for them.  An
-    empty band returns before anything is built.
+    or after a level whose product with R-tilde stores more than
+    LOOK_AHEAD_ENTRIES entries per pair left.  An empty band returns before
+    anything is built.
+
+    Ties: a pair scoring exactly theta never settles out, as its up stays at
+    or above theta; it settles in only if lo reaches theta, and is left
+    otherwise.
     """
     band = np.asarray(band, dtype=np.int64).reshape(-1, 2)
     if not len(band):
@@ -357,7 +360,7 @@ def look_ahead(g: Graph, cfg: Config, filt: FilterResult, band, theta: float,
         up[left] = lo[left] + weight * tail * mass[ends[:, 0]] * mass[ends[:, 1]]
         settled_in[left] = lo[left] >= theta
         settled_out[left] = up[left] < theta
-        if A.nnz > left.size * R_max:
+        if A.nnz > left.size * LOOK_AHEAD_ENTRIES:
             break
         keep = ~(settled_in[left] | settled_out[left])
         left = left[keep]
@@ -369,6 +372,10 @@ def look_ahead(g: Graph, cfg: Config, filt: FilterResult, band, theta: float,
 
 @dataclass
 class JoinResult:
+    """The join's sets and counters; the result is J_L.  verified is always
+    empty and stats["verified"] and stats["samples"] always 0, kept for the
+    benchmark's readers until its re-cut removes them."""
+
     J_L: set[tuple[int, int]]
     J_H: set[tuple[int, int]]
     verified: set[tuple[int, int]]
@@ -376,7 +383,7 @@ class JoinResult:
 
     @property
     def result(self) -> set[tuple[int, int]]:
-        return self.J_L | self.verified
+        return set(self.J_L)
 
 
 def _pairs(A: sp.csr_matrix, keep: np.ndarray) -> set[tuple[int, int]]:
@@ -389,16 +396,15 @@ def _pairs(A: sp.csr_matrix, keep: np.ndarray) -> set[tuple[int, int]]:
 
 def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
          gamma_acc: float = DEFAULT_GAMMA_ACC, beta_skip: float | None = None,
-         p: float = DEFAULT_P, R_max: int = DEFAULT_R_MAX,
          rng: np.random.Generator | None = None) -> JoinResult:
-    """All unordered vertex pairs with similarity >= theta (whp).
+    """Unordered vertex pairs with similarity >= theta, every one certified.
 
     J_H holds the off-diagonal pairs with S-tilde + R-tilde >=
     (1 - c(1-gamma_acc)) theta, read from the filter's state when it stops,
     with D >= 0 (the filter rejects any other D) and eps =
     (1-c)(1-gamma_acc) theta.  J_L holds the pairs with S-tilde + R-tilde >=
-    theta and the band pairs (J_H minus those) that look_ahead certifies;
-    all are reported as-is.
+    theta and the band pairs (J_H minus those) that look_ahead certifies.
+    The result is J_L.
 
     Invariant: S = c P^T S P + D and S-tilde = c P^T S-tilde P + D - R-tilde
     - X, where X >= 0 is the mass thresholding dropped (0 with it off), so
@@ -424,41 +430,34 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
     of S-tilde: every stored entry of S-tilde was moved there from a
     residual >= eps, and an entry outside it holds a residual below eps.
 
-    The band J_H minus {S-tilde + R-tilde >= theta} first goes through
+    The band J_H minus {S-tilde + R-tilde >= theta} goes through
     look_ahead, which settles pairs by later terms of the same series.  Its
     settle-out bound leaves out X like J_H's cut does, but with less slack:
     J_H's cut allows c eps / (1-c) for the terms t >= 1, the look-ahead only
     c^{l+1} max(R-tilde) / (1-c) beyond level l.  So with thresholding on, a
     pair is dropped wrongly only when X at the entries its walks meet
     exceeds that smaller margin, which criterion 10's tail makes improbable
-    as it does for J_H.  Only the pairs left are sampled, by one
-    verify_pairs call on rng in sorted order, and accepted when the estimate
-    lands on the similar side at stopping.  Deterministic under a fixed
-    seed.
+    as it does for J_H.  The look-ahead's verdict is final: the pairs it
+    leaves are kept out of the result and counted in stats["left"], so the
+    result is exactly as sound as J_L.  A pair scoring exactly theta is in
+    it only if the look-ahead's lower bound reaches theta.  Deterministic
+    under a fixed seed.
     """
-    check_join_args(theta, gamma_acc, beta_skip, p, R_max)
-    if rng is None:
-        rng = cfg.rng()
+    check_join_args(theta, gamma_acc, beta_skip)
     filt = gauss_southwell_filter(g, cfg, D, theta, gamma_acc, beta_skip, rng)
     held = filt.S + filt.R
     J_L = _pairs(held, held.data >= theta)
     J_H = _pairs(held, held.data >= (1.0 - cfg.c * (1.0 - gamma_acc)) * theta)
 
     band = np.array(sorted(J_H - J_L), dtype=np.int64).reshape(-1, 2)
-    ahead = look_ahead(g, cfg, filt, band, theta, R_max)
+    ahead = look_ahead(g, cfg, filt, band, theta)
     J_L |= set(map(tuple, band[ahead.settled_in].tolist()))
-    uncertain = band[ahead.left]
-    checked = (verify_pairs(g, cfg, uncertain, theta, p, R_max, rng)
-               if len(uncertain) else [])
-    verified = {pair for pair, res in zip(map(tuple, uncertain.tolist()),
-                                          checked)
-                if res.side == "similar"}
 
     stats = dict(filt.stats)
     stats.update({"J_L": len(J_L), "J_H": len(J_H),
-                  "verified": len(verified),
                   "lookahead_levels": ahead.levels,
                   "settled_in": int(ahead.settled_in.sum()),
                   "settled_out": int(ahead.settled_out.sum()),
-                  "samples": sum(res.samples_used for res in checked)})
-    return JoinResult(J_L, J_H, verified, stats)
+                  "left": int(ahead.left.sum()),
+                  "verified": 0, "samples": 0})
+    return JoinResult(J_L, J_H, set(), stats)

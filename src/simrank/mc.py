@@ -3,7 +3,9 @@
 Two families: estimation over the series expansion from batches of in-link
 walks (one pair or one source column from one batch each), and
 first-meeting-time sampling of coupled walks, where the score equals
-E[c^tau] for the first step tau at which the walks coincide.
+E[c^tau] for the first step tau at which the walks coincide.  The join does
+not verify by sampling; verify_pair and verify_pairs stand alone, checked
+by acceptance criterion 11.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ VERIFY_CHUNK = 64
 # samples per slice of a verify_pairs round: the round's undecided pairs go
 # through meeting_times and the stopping rule in slices of
 # max(1, VERIFY_BUDGET // chunk) pairs, so its arrays stay near 2^13 entries
-# however many pairs a join sends to verification
+# however many pairs one call verifies
 VERIFY_BUDGET = 2**13
 
 

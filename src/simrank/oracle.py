@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diag import DiagonalCorrection
+from .diag import DiagonalCorrection, header_params
 from .graph import Config, Graph
 
 DEFAULT_CAP = 5000
@@ -55,8 +55,7 @@ def exact_diagonal(g: Graph, cfg: Config, cap: int = DEFAULT_CAP) -> DiagonalCor
     D = S - cfg.c * (P.T @ S @ P)
     return DiagonalCorrection(
         values=np.diag(D).copy(),
-        params={"c": cfg.c, "T": None, "L": None, "R": None,
-                "seed": cfg.seed, "mode": "oracle"})
+        params=header_params(cfg, T=None, mode="oracle"))
 
 
 def brute_force_join(g: Graph, cfg: Config, theta: float,

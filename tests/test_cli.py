@@ -252,7 +252,9 @@ class TestQuery:
 
     def test_exact_default_refused_above_work_limit(self, capsys, monkeypatch,
                                                     star_file, star_diag):
-        work = 3 * 4 * (4 + 6) * 40  # the star's L * n * (n + m) * T
+        # the star's n * (n + m) * T: its n^2 rows fit ROW_BUDGET, so the
+        # estimate takes one W pass
+        work = 4 * (4 + 6) * 40
         argv = ["query", "--graph", star_file, "--c", "0.8", "--T", "40",
                 "pair", "1", "2"]
         monkeypatch.setattr(cli, "EXACT_DEFAULT_MAX_WORK", work - 1)
@@ -262,6 +264,10 @@ class TestQuery:
         assert run(capsys, [*argv, "--diag", star_diag])[0] == 0
         monkeypatch.setattr(cli, "EXACT_DEFAULT_MAX_WORK", work)
         assert run(capsys, argv)[0] == 0
+        # rows that do not fit are computed again in each of the L sweeps
+        monkeypatch.setattr(cli, "ROW_BUDGET", 4 * 4 - 1)
+        code, out, err = run(capsys, argv)
+        assert code == 1 and str(3 * work) in err
 
 
 class TestTopk:
@@ -321,10 +327,6 @@ class TestTopk:
                      "theta must be in (0,1), got 1.2", id="join-theta=1.2"),
         pytest.param(["join", "--gamma", "1", "--out", OUT],
                      "gamma_acc must be in [0,1), got 1.0", id="join-gamma=1"),
-        pytest.param(["join", "--p", "0", "--out", OUT],
-                     "p must be in (0,1), got 0.0", id="join-p=0"),
-        pytest.param(["join", "--rmax", "0", "--out", OUT],
-                     "R_max must be >= 1, got 0", id="join-rmax=0"),
         pytest.param(["join", "--beta-skip", "inf", "--out", OUT],
                      "--beta-skip must be finite, got inf",
                      id="join-beta-skip=inf")])
@@ -360,11 +362,11 @@ class TestJoin:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 3
-        assert all(line.endswith(("filter", "verified")) for line in lines)
+        assert all(line.endswith("\tfilter") for line in lines)
         assert err.startswith("{")  # stats summary on the side channel
         stats = json.loads(err)
         for key in ("J_L", "J_H", "verified", "samples", "lookahead_levels",
-                    "settled_in", "settled_out"):
+                    "settled_in", "settled_out", "left"):
             assert key in stats
 
     def test_look_ahead_settles_the_band(self, capsys, star_file, star_diag):
@@ -380,12 +382,12 @@ class TestJoin:
         stats = json.loads(err)
         assert stats["settled_in"] == 3 and stats["settled_out"] == 0
         assert stats["lookahead_levels"] >= 1
-        assert stats["samples"] == 0
+        assert stats["samples"] == 0 and stats["left"] == 0
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--theta", "nan", "theta"), ("--theta", "inf", "theta"),
         ("--theta", "1.2", "theta"),
-        ("--gamma", "nan", "gamma"), ("--p", "nan", "p"),
+        ("--gamma", "nan", "gamma"),
         ("--beta-skip", "nan", "beta-skip"),
     ])
     def test_non_finite_argument_rejected_before_the_diagonal(
@@ -402,18 +404,15 @@ class TestJoin:
             assert code == 1 and out == ""
             assert err.startswith("error:") and name in err and value in err
 
-    def test_rmax_checked_before_the_diagonal(self, capsys, monkeypatch,
-                                              star_file, star_diag):
-        def untouched(*args, **kwargs):
-            raise AssertionError("diagonal touched")
-        monkeypatch.setattr(cli, "load_diagonal", untouched)
-        monkeypatch.setattr(cli, "estimate_diagonal", untouched)
-        for diag in (["--diag", star_diag], []):
-            code, out, err = run(capsys, ["join", "--graph", star_file,
-                                          "--c", "0.8", "--T", "40", *diag,
-                                          "--rmax", "0"])
-            assert code == 1 and out == ""
-            assert err == "error: R_max must be >= 1, got 0\n"
+    @pytest.mark.parametrize("flag, value", [("--p", "0.01"),
+                                             ("--rmax", "1000")])
+    def test_verification_flags_are_usage_errors(self, capsys, star_file,
+                                                 star_diag, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["join", "--graph", star_file, "--diag", star_diag,
+                  flag, value])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_negative_diagonal_entry_rejected(self, capsys, monkeypatch,
                                               star_file, star_diag, tmp_path):

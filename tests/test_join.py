@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simrank as sr
+from simrank import mc
 from simrank.diag import DiagonalCorrection
-from simrank.join import (MemoryCapExceeded, ResidualStore, allocation_draw,
-                          look_ahead)
+from simrank.join import (DEFAULT_BETA_SKIP, MemoryCapExceeded,
+                          ResidualStore, allocation_draw, look_ahead)
 
 from conftest import make_graph
+
+# the module, not the package attribute simrank.join (the function)
+JOIN = importlib.import_module("simrank.join")
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +103,7 @@ class TestFilter:
     def test_memory_cap(self, join_suite, monkeypatch):
         cfg, suite = join_suite
         g, D, _ = suite[0]
-        # the module, not the package attribute simrank.join (the function)
-        monkeypatch.setattr(importlib.import_module("simrank.join"),
-                            "MAX_ENTRIES", 3)
+        monkeypatch.setattr(JOIN, "MAX_ENTRIES", 3)
         with pytest.raises(MemoryCapExceeded) as info:
             sr.gauss_southwell_filter(g, cfg, D, theta=0.2)
         assert info.value.stats["relaxations"] >= 1
@@ -112,7 +114,7 @@ class TestFilter:
             sr.gauss_southwell_filter(star, cfg08, D, 0.5, gamma_acc=1.0)
         with pytest.raises(ValueError, match="theta"):
             sr.gauss_southwell_filter(star, cfg08, D, 0.0)
-        # verification needs theta < 1, so the join refuses it up front
+        # the join refuses theta >= 1 up front
         g = sr.load_edge_list("0 2\n0 3\n1 0\n")
         for theta in (1.0, 1.2, 5.0):
             with pytest.raises(ValueError, match=r"theta must be in \(0,1\)"):
@@ -128,8 +130,6 @@ class TestFilter:
             with pytest.raises(ValueError, match="diagonal.*vertex 2"):
                 sr.gauss_southwell_filter(star, cfg08,
                                           DiagonalCorrection(values), 0.5)
-        with pytest.raises(ValueError, match="R_max must be >= 1, got 0"):
-            sr.join(star, cfg08, D, 0.5, R_max=0)
 
 
 class TestStochasticThreshold:
@@ -191,17 +191,18 @@ class TestJoin:
         assert res.J_L <= res.J_H
 
     def test_seven_vertex_example(self, seven):
+        # four pairs score 0.239-0.247, 0.003-0.011 below theta; the
+        # look-ahead settles every band pair, under thresholding on any seed
         g, idx = seven
-        cfg = sr.Config(c=0.6, T=11)
-        D = sr.exact_diagonal(g, cfg)
-        # four pairs score 0.239-0.247, 0.003-0.011 below theta, where the
-        # default R_max = 1000 leaves a standard error near 7.5e-3; at 200k it
-        # is near 5.3e-4, so the closest pair sits 6 standard errors out
-        res = sr.join(g, cfg, D, theta=0.25, gamma_acc=0.5, p=0.01,
-                      R_max=200_000, rng=cfg.rng())
-        named = {tuple(sorted((g.original_ids[i], g.original_ids[j])))
-                 for i, j in res.result}
-        assert named == {(1, 2), (5, 6)}
+        D = sr.exact_diagonal(g, sr.Config(c=0.6, T=11))
+        for seed in range(6):
+            cfg = sr.Config(c=0.6, T=11, seed=seed)
+            res = sr.join(g, cfg, D, theta=0.25, gamma_acc=0.5,
+                          beta_skip=DEFAULT_BETA_SKIP)
+            named = {tuple(sorted((g.original_ids[i], g.original_ids[j])))
+                     for i, j in res.result}
+            assert named == {(1, 2), (5, 6)}
+            assert res.stats["left"] == 0
 
     def test_seed_determinism(self, join_suite):
         cfg, suite = join_suite
@@ -223,10 +224,15 @@ class TestJoin:
                       if abs(S_true[i, j] - 0.2) < 0.02}
         assert res.result ^ truth == borderline
 
-    def test_p_validation(self, star, cfg08):
-        D = sr.exact_diagonal(star, cfg08)
-        with pytest.raises(ValueError, match="p"):
-            sr.join(star, cfg08, D, 0.5, p=0.0)
+    def test_no_meeting_time_is_drawn(self, join_suite, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("join drew meeting times")
+        monkeypatch.setattr(mc, "meeting_times", refuse)
+        cfg, suite = join_suite
+        for g, D, _ in suite:
+            for gamma, beta in ((0.0, 100.0), (0.5, None)):
+                res = sr.join(g, cfg, D, 0.2, gamma, beta)
+                assert res.stats["samples"] == 0 and res.verified == set()
 
 
 @st.composite
@@ -251,12 +257,16 @@ class TestZeroGammaUpperSet:
     @given(g=small_digraphs(), c=st.floats(0.2, 0.9),
            theta=st.floats(0.02, 0.9),
            gamma=st.one_of(st.just(0.0),
-                           st.floats(0.0, 0.9, exclude_max=True)))
-    def test_support_of_filter_holds_the_join(self, g, c, theta, gamma):
+                           st.floats(0.0, 0.9, exclude_max=True)),
+           cap=st.sampled_from([1, 64]))
+    def test_support_of_filter_holds_the_join(self, g, c, theta, gamma, cap):
         cfg = sr.Config(c=c, T=11)
         D = sr.exact_diagonal(g, cfg)
         S = sr.naive_simrank(g, cfg)
-        res = sr.join(g, cfg, D, theta, gamma_acc=gamma, R_max=64)
+        with pytest.MonkeyPatch.context() as patch:
+            # a small cap leaves pairs, whose count bounds the recall lost
+            patch.setattr(JOIN, "LOOK_AHEAD_ENTRIES", cap)
+            res = sr.join(g, cfg, D, theta, gamma_acc=gamma)
         store = sr.gauss_southwell_filter(g, cfg, D, theta, gamma)
         off = ~np.eye(g.n, dtype=bool)
         gap = (S - store.dense_solution(g.n))[off]
@@ -276,8 +286,12 @@ class TestZeroGammaUpperSet:
         if gamma == 0.0:
             assert upper == {k for k, v in store.solution.items()
                              if k[0] < k[1] and v > 0.0}
-        assert res.J_L <= sr.brute_force_join(g, cfg, theta - 1e-9)
-        assert sr.brute_force_join(g, cfg, theta + 1e-9) <= res.J_H
+        wide = sr.brute_force_join(g, cfg, theta - 1e-9)
+        narrow = sr.brute_force_join(g, cfg, theta + 1e-9)
+        assert res.J_L <= wide and narrow <= res.J_H
+        assert res.result <= wide
+        assert len(narrow - res.result) <= res.stats["left"]
+        assert res.stats["samples"] == 0 and res.verified == set()
 
 
 class TestThresholdedFilter:
@@ -296,9 +310,10 @@ class TestThresholdedFilter:
                                           np.random.default_rng(seed))
         held = store.dense_solution(g.n) + store.dense_residual(g.n)
         assert (held <= S + ORACLE_TOL).all()
-        res = sr.join(g, cfg, D, theta, gamma, beta, R_max=64,
+        res = sr.join(g, cfg, D, theta, gamma, beta,
                       rng=np.random.default_rng(seed))
         assert res.J_L <= sr.brute_force_join(g, cfg, theta - 1e-9)
+        assert res.result <= sr.brute_force_join(g, cfg, theta - 1e-9)
 
 
 class TestLookAhead:
@@ -310,10 +325,10 @@ class TestLookAhead:
     @given(g=small_digraphs(), c=st.floats(0.2, 0.8),
            theta=st.floats(0.02, 0.9), gamma=st.sampled_from([0.0, 0.5]),
            exact=st.booleans(), levels=st.integers(1, 4),
-           R_max=st.sampled_from([1, 1000]), wide=st.booleans(),
+           cap=st.sampled_from([1, 1000]), wide=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_settled_pairs_lie_on_their_side(self, g, c, theta, gamma, exact,
-                                             levels, R_max, wide, seed):
+                                             levels, cap, wide, seed):
         cfg = sr.Config(c=c, T=levels)
         D = (sr.exact_diagonal(g, cfg) if exact else DiagonalCorrection(
             np.random.default_rng(seed).uniform(0.0, 1.0, g.n)))
@@ -323,7 +338,9 @@ class TestLookAhead:
         # the join's band, or every pair the filter alone leaves below theta
         low = 0.0 if wide else (1.0 - c * (1.0 - gamma)) * theta
         band = np.argwhere(np.triu((held >= low) & (held < theta), k=1))
-        ahead = look_ahead(g, cfg, filt, band, theta, R_max)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(JOIN, "LOOK_AHEAD_ENTRIES", cap)
+            ahead = look_ahead(g, cfg, filt, band, theta)
         s = S[band[:, 0], band[:, 1]]
         assert ahead.levels <= levels
         assert (ahead.lo >= held[band[:, 0], band[:, 1]]).all()

@@ -7,8 +7,7 @@ from .graph import (Config, Distribution, Graph, GraphParseError,
                     bfs_distances, load_edge_list, step)
 from .join import (JoinResult, ResidualStore, gauss_southwell_filter, join,
                    stochastic_threshold)
-from .mc import (VerifyResult, mc_single_pair, mc_single_source, verify_pair,
-                 verify_pairs)
+from .mc import VerifyResult, mc_single_pair, mc_single_source, verify_pair
 from .oracle import (OracleCapExceeded, brute_force_join, brute_force_topk,
                      exact_diagonal, mean_error, naive_simrank)
 from .query import all_pairs, dense_truncated, single_pair, single_source
@@ -27,7 +26,7 @@ __all__ = [
     "initial_guess", "residual_norm", "save_diagonal", "load_diagonal",
     "single_pair", "single_source", "all_pairs", "dense_truncated",
     "mc_single_pair", "mc_single_source",
-    "verify_pair", "verify_pairs", "VerifyResult",
+    "verify_pair", "VerifyResult",
     "AlphaBeta", "BoundsIndex", "build_gamma", "build_alpha_beta", "l2_bound",
     "build_candidate_index", "build_bounds_index", "topk_query",
     "ResidualStore", "JoinResult", "stochastic_threshold",

@@ -126,6 +126,12 @@ def check_vertex(g: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for graph with {g.n} vertices")
 
 
+def check_theta(theta: float) -> None:
+    """Raise ValueError unless the threshold theta is in (0, 1); nan fails."""
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must be in (0,1), got {theta}")
+
+
 def check_walk_count(R: int) -> None:
     """Raise ValueError unless a walk estimator's R is at least 1."""
     if not R >= 1:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .diag import DiagonalCorrection
-from .graph import Config, Graph
+from .graph import Config, Graph, check_theta
 
 MAX_ENTRIES = 2 * 10**8
 # the look-ahead stops after a level whose product with R-tilde stores more
@@ -50,8 +50,7 @@ def check_join_args(theta: float, gamma_acc: float = DEFAULT_GAMMA_ACC,
     Every comparison is written so that nan fails it: theta in (0, 1),
     gamma_acc in [0, 1) and beta_skip (when set) finite and positive.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must be in (0,1), got {theta}")
+    check_theta(theta)
     if not 0.0 <= gamma_acc < 1.0:
         raise ValueError(f"gamma_acc must be in [0,1), got {gamma_acc}")
     if beta_skip is not None and not 0.0 < beta_skip < math.inf:
@@ -207,12 +206,12 @@ class FilterResult:
         return dict(zip(zip(_rows(self.S).tolist(), self.S.indices.tolist()),
                         self.S.data.tolist()))
 
-    def dense_solution(self, n: int) -> np.ndarray:
-        """S-tilde as a dense symmetric n x n array, n the vertex count."""
+    def dense_solution(self) -> np.ndarray:
+        """S-tilde as a dense symmetric n x n array over the vertices."""
         return _symmetric(self.S).toarray()
 
-    def dense_residual(self, n: int) -> np.ndarray:
-        """R-tilde as a dense symmetric n x n array, n the vertex count."""
+    def dense_residual(self) -> np.ndarray:
+        """R-tilde as a dense symmetric n x n array over the vertices."""
         return _symmetric(self.R).toarray()
 
 

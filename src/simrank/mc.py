@@ -1,11 +1,11 @@
 """Monte-Carlo estimators and adaptive pair verification.
 
-Two families: estimation over the series expansion from batches of in-link
-walks (one pair or one source column from one batch each), and
-first-meeting-time sampling of coupled walks, where the score equals
-E[c^tau] for the first step tau at which the walks coincide.  The join does
-not verify by sampling; verify_pair and verify_pairs stand alone, checked
-by acceptance criterion 11.
+Two families, both on the walks of ``graph.walk_steps``: estimation over
+the series expansion from batches of in-link walks (one pair or one source
+column from one batch each), and first-meeting-time sampling of pairs of
+walks, where the score equals E[c^tau] for the first step tau at which the
+two walks coincide.  The join does not verify by sampling; verify_pair
+thresholds one pair on its own, checked by acceptance criterion 11.
 """
 
 from __future__ import annotations
@@ -16,23 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diag import DiagonalCorrection
-from .graph import (Config, Graph, check_vertex, check_walk_count,
-                    walk_positions, walk_steps)
+from .graph import (Config, Graph, check_theta, check_vertex,
+                    check_walk_count, walk_positions, walk_steps)
 from .query import fold_series
 
 VERIFY_CHUNK = 64
-# samples per slice of a verify_pairs round: the round's undecided pairs go
-# through meeting_times and the stopping rule in slices of
-# max(1, VERIFY_BUDGET // chunk) pairs, so its arrays stay near 2^13 entries
-# however many pairs one call verifies
-VERIFY_BUDGET = 2**13
 
 
 def check_verify_args(theta: float, p: float, R_max: int) -> None:
     """Raise ValueError naming the first verification argument out of range:
     theta and p must be in (0, 1) and R_max at least 1; nan fails each."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must be in (0,1), got {theta}")
+    check_theta(theta)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0,1), got {p}")
     if not R_max >= 1:
@@ -86,42 +80,25 @@ def mc_single_source(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,
 
 def meeting_time_samples(g: Graph, cfg: Config, i: int, j: int, R: int,
                          rng: np.random.Generator) -> np.ndarray:
-    """R independent draws of c^tau, tau the first step at which coupled walks
-    from i and j meet; 0 if one is absorbed or they do not meet within T."""
-    return meeting_times(g, cfg, np.full(R, i, dtype=np.int64),
-                         np.full(R, j, dtype=np.int64), rng)
+    """R independent draws of c^tau, tau the first step at which an in-link
+    walk from i and one from j stand on one vertex; 0 if either is absorbed
+    first or they do not meet within T steps, and 1 when i == j.
 
-
-def meeting_times(g: Graph, cfg: Config, pos_a: np.ndarray, pos_b: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """One draw of c^tau per entry of the start arrays pos_a, pos_b.
-
-    Entries may mix any pairs; all coupled walks step together, drawing a's
-    steps then b's from rng.  A pair starting on one vertex scores 1 and draws
-    nothing.
+    The R walks from i and the R from j run together on ``walk_steps`` for
+    T + 1 positions, i's first, so walk w pairs with walk R + w.  Every walk
+    alive draws until it is absorbed, whether or not its pair has met; the
+    two walks of a pair are independent and later steps do not move tau.
     """
-    values = np.zeros(pos_a.size)
-    met = pos_a == pos_b
-    values[met] = 1.0
-    keep = ~met
-    pos_a, pos_b = pos_a[keep], pos_b[keep]
-    active = np.flatnonzero(keep)
+    check_vertex(g, i)
+    check_vertex(g, j)
+    values = np.zeros(R)
+    at = np.empty(2 * R, dtype=np.int64)
     weight = 1.0
-    for _ in range(cfg.T):
-        deg_a = g.in_degree[pos_a]
-        deg_b = g.in_degree[pos_b]
-        alive = (deg_a > 0) & (deg_b > 0)
-        pos_a, pos_b, active = pos_a[alive], pos_b[alive], active[alive]
-        if active.size == 0:
-            break
-        deg_a, deg_b = deg_a[alive], deg_b[alive]
-        pos_a = g.in_adj[g.in_ptr[pos_a] + (rng.random(active.size) * deg_a).astype(np.int64)]
-        pos_b = g.in_adj[g.in_ptr[pos_b] + (rng.random(active.size) * deg_b).astype(np.int64)]
+    for pos, walk in walk_steps(g, np.repeat([i, j], R), cfg.T + 1, rng):
+        at.fill(-1)  # absorbed walks stand nowhere
+        at[walk] = pos
+        values[(at[:R] == at[R:]) & (at[:R] >= 0) & (values == 0.0)] = weight
         weight *= cfg.c
-        met = pos_a == pos_b
-        values[active[met]] = weight
-        keep = ~met
-        pos_a, pos_b, active = pos_a[keep], pos_b[keep], active[keep]
     return values
 
 
@@ -139,58 +116,31 @@ class VerifyResult:
 
 def verify_pair(g: Graph, cfg: Config, i: int, j: int, theta: float,
                 p: float, R_max: int, rng: np.random.Generator) -> VerifyResult:
-    """Adaptive thresholding of s(i,j) against theta: verify_pairs on one pair."""
-    return verify_pairs(g, cfg, [(i, j)], theta, p, R_max, rng)[0]
+    """Adaptive thresholding of s(i,j) against theta.
 
-
-def verify_pairs(g: Graph, cfg: Config, pairs, theta: float, p: float,
-                 R_max: int, rng: np.random.Generator) -> list[VerifyResult]:
-    """Adaptive thresholding of s(i,j) against theta for every (i, j) in pairs.
-
-    Each round draws min(VERIFY_CHUNK, R_max - R) meeting-time samples for
-    every still-undecided pair, in pair order, with one meeting_times call per
-    slice of at most VERIFY_BUDGET samples.  Each pair keeps its own running
-    mean s^(R) (which averages c**tau, not tau) and stops at the first R with
-    R * (s^(R) - theta)^2 >= log(1/p)/2 * (c/(1-c))^2.  Similar iff
-    s^(R) >= theta; hitting R_max without stopping flags the result undecided
-    while still reporting the side.  For one pair the draws, and so the
-    result, are those of sampling that pair alone, chunk by chunk.
+    Draws meeting_time_samples in chunks of min(VERIFY_CHUNK, R_max - R)
+    and keeps the running mean s^(R) (which averages c**tau, not tau),
+    stopping at the first R with R * (s^(R) - theta)^2 >=
+    log(1/p)/2 * (c/(1-c))^2.  Similar iff s^(R) >= theta; hitting R_max
+    without stopping flags the result undecided while still reporting the
+    side.
     """
     check_verify_args(theta, p, R_max)
-    ij = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     bar = math.log(1.0 / p) / 2.0 * (cfg.c / (1.0 - cfg.c)) ** 2
-    total = np.zeros(len(ij))
-    used = np.zeros(len(ij), dtype=np.int64)
-    terminated = np.zeros(len(ij), dtype=bool)
-    drawn = 0  # samples drawn so far for each undecided pair
-    undecided = np.arange(len(ij))
-    while drawn < R_max and undecided.size:
-        chunk = min(VERIFY_CHUNK, R_max - drawn)
-        counts = drawn + 1 + np.arange(chunk)
-        step = max(1, VERIFY_BUDGET // chunk)
-        for lo in range(0, undecided.size, step):
-            rows = undecided[lo:lo + step]
-            draws = meeting_times(
-                g, cfg, np.repeat(ij[rows, 0], chunk),
-                np.repeat(ij[rows, 1], chunk), rng).reshape(-1, chunk)
-            means = (total[rows, None] + np.cumsum(draws, axis=1)) / counts
-            ok = counts * (means - theta) ** 2 >= bar
-            hit = ok.any(axis=1)
-            for r in np.flatnonzero(hit):
-                stop = int(np.argmax(ok[r])) + 1
-                used[rows[r]] = drawn + stop
-                total[rows[r]] += float(np.sum(draws[r, :stop]))
-            terminated[rows[hit]] = True
-            # each row is contiguous, so its sum is that of the 1-D chunk
-            total[rows[~hit]] += np.sum(draws[~hit], axis=1)
-        drawn += chunk
-        undecided = undecided[~terminated[undecided]]
-    used[undecided] = drawn
-
-    results = []
-    for k in range(len(ij)):
-        estimate = float(total[k] / used[k])
-        side = "similar" if estimate >= theta else "dissimilar"
-        decision = side if terminated[k] else "undecided"
-        results.append(VerifyResult(decision, side, estimate, int(used[k])))
-    return results
+    total = 0.0
+    used = 0
+    terminated = False
+    while used < R_max and not terminated:
+        chunk = min(VERIFY_CHUNK, R_max - used)
+        draws = meeting_time_samples(g, cfg, i, j, chunk, rng)
+        counts = used + 1 + np.arange(chunk)
+        means = (total + np.cumsum(draws)) / counts
+        ok = counts * (means - theta) ** 2 >= bar
+        terminated = bool(ok.any())
+        stop = int(np.argmax(ok)) + 1 if terminated else chunk
+        total += float(np.sum(draws[:stop]))
+        used += stop
+    estimate = total / used
+    side = "similar" if estimate >= theta else "dissimilar"
+    return VerifyResult(side if terminated else "undecided", side, estimate,
+                        used)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import simrank as sr
 
@@ -36,6 +37,16 @@ def make_graph(rng: np.random.Generator, n: int, m: int) -> sr.Graph:
         if u != v:
             edges.add((int(u), int(v)))
     return sr.Graph(n, sorted(edges))
+
+
+@st.composite
+def small_digraphs(draw):
+    """A random digraph on 2..16 vertices with up to 3n edges, so often with
+    vertices that have no in-links and absorb walks."""
+    n = draw(st.integers(2, 16))
+    m = draw(st.integers(0, min(n * (n - 1), 3 * n)))
+    return make_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                      n, m)
 
 
 @pytest.fixture

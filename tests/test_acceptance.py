@@ -216,7 +216,7 @@ def test_criterion_09_filter_sandwich_containment_and_push_bound():
             J_narrow = sr.brute_force_join(g, CFG06, theta + 1e-9)
             for gamma in (0.0, 0.5):
                 store = sr.gauss_southwell_filter(g, CFG06, D, theta, gamma)
-                gap = S_true - store.dense_solution(g.n)
+                gap = S_true - store.dense_solution()
                 np.fill_diagonal(gap, 0.0)
                 assert gap.min() >= -1e-9
                 assert gap.max() <= (1 - gamma) * theta + 1e-6

@@ -11,7 +11,7 @@ from simrank.diag import DiagonalCorrection
 from simrank.join import (DEFAULT_BETA_SKIP, MemoryCapExceeded,
                           ResidualStore, allocation_draw, look_ahead)
 
-from conftest import make_graph
+from conftest import make_graph, small_digraphs
 
 # the module, not the package attribute simrank.join (the function)
 JOIN = importlib.import_module("simrank.join")
@@ -40,7 +40,7 @@ class TestFilter:
         D = sr.exact_diagonal(star, cfg08)
         store = sr.gauss_southwell_filter(star, cfg08, D, theta=0.5)
         S = sr.naive_simrank(star, cfg08)
-        approx = store.dense_solution(star.n)
+        approx = store.dense_solution()
         gap = S - approx
         assert gap.min() >= -1e-9 and gap.max() <= 0.5 + 1e-9
         J_L = {(i, j) for (i, j), v in store.solution.items()
@@ -52,8 +52,8 @@ class TestFilter:
         for g, D, _ in suite:
             store = sr.gauss_southwell_filter(g, cfg, D, theta=0.2,
                                               gamma_acc=0.3)
-            S = store.dense_solution(g.n)
-            R = store.dense_residual(g.n)
+            S = store.dense_solution()
+            R = store.dense_residual()
             P = g.dense_P()
             lhs = np.diag(D.values) - (S - cfg.c * (P.T @ S @ P))
             assert np.max(np.abs(lhs - R)) <= 1e-9
@@ -64,7 +64,7 @@ class TestFilter:
         theta, gamma = 0.2, 0.5
         for g, D, S_true in suite:
             store = sr.gauss_southwell_filter(g, cfg, D, theta, gamma)
-            gap = S_true - store.dense_solution(g.n)
+            gap = S_true - store.dense_solution()
             np.fill_diagonal(gap, 0.0)
             assert gap.min() >= -1e-9
             assert gap.max() <= (1 - gamma) * theta + 1e-6
@@ -227,20 +227,12 @@ class TestJoin:
     def test_no_meeting_time_is_drawn(self, join_suite, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("join drew meeting times")
-        monkeypatch.setattr(mc, "meeting_times", refuse)
+        monkeypatch.setattr(mc, "meeting_time_samples", refuse)
         cfg, suite = join_suite
         for g, D, _ in suite:
             for gamma, beta in ((0.0, 100.0), (0.5, None)):
                 res = sr.join(g, cfg, D, 0.2, gamma, beta)
                 assert res.stats["samples"] == 0 and res.verified == set()
-
-
-@st.composite
-def small_digraphs(draw):
-    n = draw(st.integers(2, 16))
-    m = draw(st.integers(0, min(n * (n - 1), 3 * n)))
-    return make_graph(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
-                      n, m)
 
 
 # the oracle iterates from S = I, so it sits below the converged scores by
@@ -269,8 +261,8 @@ class TestZeroGammaUpperSet:
             res = sr.join(g, cfg, D, theta, gamma_acc=gamma)
         store = sr.gauss_southwell_filter(g, cfg, D, theta, gamma)
         off = ~np.eye(g.n, dtype=bool)
-        gap = (S - store.dense_solution(g.n))[off]
-        residual = store.dense_residual(g.n)
+        gap = (S - store.dense_solution())[off]
+        residual = store.dense_residual()
         assert gap.min() >= -ORACLE_TOL
         assert gap.max() < (1 - gamma) * theta + ORACLE_TOL
         # the residual itself is certain: S >= S-tilde + R-tilde
@@ -278,7 +270,7 @@ class TestZeroGammaUpperSet:
         # and what lies beyond it is below c (1-gamma) theta, which is what
         # lets J_H be cut on S-tilde + R-tilde
         assert (gap - residual[off]).max() < c * (1 - gamma) * theta + ORACLE_TOL
-        held = store.dense_solution(g.n) + residual
+        held = store.dense_solution() + residual
         cut = (1.0 - c * (1.0 - gamma)) * theta
         rows, cols = np.nonzero(np.triu(held >= cut, k=1))
         upper = set(zip(rows.tolist(), cols.tolist()))
@@ -308,7 +300,7 @@ class TestThresholdedFilter:
         S = sr.naive_simrank(g, cfg)
         store = sr.gauss_southwell_filter(g, cfg, D, theta, gamma, beta,
                                           np.random.default_rng(seed))
-        held = store.dense_solution(g.n) + store.dense_residual(g.n)
+        held = store.dense_solution() + store.dense_residual()
         assert (held <= S + ORACLE_TOL).all()
         res = sr.join(g, cfg, D, theta, gamma, beta,
                       rng=np.random.default_rng(seed))
@@ -334,7 +326,7 @@ class TestLookAhead:
             np.random.default_rng(seed).uniform(0.0, 1.0, g.n)))
         S = sr.dense_truncated(g, sr.Config(c=c, T=200), D)
         filt = sr.gauss_southwell_filter(g, cfg, D, theta, gamma)
-        held = filt.dense_solution(g.n) + filt.dense_residual(g.n)
+        held = filt.dense_solution() + filt.dense_residual()
         # the join's band, or every pair the filter alone leaves below theta
         low = 0.0 if wide else (1.0 - c * (1.0 - gamma)) * theta
         band = np.argwhere(np.triu((held >= low) & (held < theta), k=1))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,41 +12,33 @@ from simrank.graph import walk_positions, walk_steps
 from simrank.join import check_join_args
 from simrank.mc import meeting_time_samples
 
-from conftest import make_graph
+from conftest import make_graph, small_digraphs
 
 
 def per_pair_meeting_times(g, cfg, i, j, R, rng):
-    """The one-pair meeting-time sampler that verify_pair used to call."""
+    """c^tau for each pair of the walks that walk_steps draws for
+    np.repeat([i, j], R) over T + 1 positions, read walk by walk: walk w
+    pairs with walk R + w, tau is the first step at which both stand on
+    one vertex, and a pair that never does scores 0."""
+    paths = [[] for _ in range(2 * R)]
+    for pos, walk in walk_steps(g, np.repeat([i, j], R), cfg.T + 1, rng):
+        for w, v in zip(walk.tolist(), pos.tolist()):
+            paths[w].append(v)
     values = np.zeros(R)
-    if i == j:
-        values[:] = 1.0
-        return values
-    pos_a = np.full(R, i, dtype=np.int64)
-    pos_b = np.full(R, j, dtype=np.int64)
-    active = np.arange(R)
-    weight = 1.0
-    for _ in range(cfg.T):
-        deg_a = g.in_degree[pos_a]
-        deg_b = g.in_degree[pos_b]
-        alive = (deg_a > 0) & (deg_b > 0)
-        pos_a, pos_b, active = pos_a[alive], pos_b[alive], active[alive]
-        if active.size == 0:
-            break
-        deg_a, deg_b = deg_a[alive], deg_b[alive]
-        pos_a = g.in_adj[g.in_ptr[pos_a] + (rng.random(active.size) * deg_a).astype(np.int64)]
-        pos_b = g.in_adj[g.in_ptr[pos_b] + (rng.random(active.size) * deg_b).astype(np.int64)]
-        weight *= cfg.c
-        met = pos_a == pos_b
-        values[active[met]] = weight
-        keep = ~met
-        pos_a, pos_b, active = pos_a[keep], pos_b[keep], active[keep]
-        if active.size == 0:
-            break
+    for w in range(R):
+        for tau, (a, b) in enumerate(zip(paths[w], paths[R + w])):
+            if a == b:
+                weight = 1.0
+                for _ in range(tau):
+                    weight *= cfg.c
+                values[w] = weight
+                break
     return values
 
 
 def per_pair_verify(g, cfg, i, j, theta, p, R_max, rng):
-    """The per-pair verification loop verify_pair used to run, as a tuple."""
+    """verify_pair's chunked Hoeffding loop on per_pair_meeting_times, as a
+    tuple."""
     bar = math.log(1.0 / p) / 2.0 * (cfg.c / (1.0 - cfg.c)) ** 2
     total = 0.0
     used = 0
@@ -232,6 +225,20 @@ class TestMeetingTimes:
         g, cfg, _ = star_exact
         assert meeting_time_samples(g, cfg, 1, 2, 1, cfg.rng())[0] == cfg.c
 
+    @pytest.mark.parametrize("v", [-1, -2, 4])  # the star has 4 vertices
+    def test_refuses_ids_outside_the_graph(self, star_exact, v):
+        g, cfg, _ = star_exact
+        message = re.escape(
+            f"vertex {v} out of range for graph with {g.n} vertices")
+        for i, j in [(v, 2), (2, v)]:
+            rng = cfg.rng()
+            with pytest.raises(ValueError, match=message):
+                meeting_time_samples(g, cfg, i, j, 4, rng)
+            with pytest.raises(ValueError, match=message):
+                sr.verify_pair(g, cfg, i, j, 0.5, 0.01, 1000, rng)
+            # refused before any draw
+            assert rng.random() == cfg.rng().random()
+
 
 class TestVerifyPair:
     def test_decides_similar(self, star_exact):
@@ -274,7 +281,7 @@ class TestVerifyPair:
         has no p or R_max of its own."""
         g, cfg, _ = star_exact
         with pytest.raises(ValueError) as verify:
-            sr.verify_pairs(g, cfg, [(1, 2)], theta, p, R_max, cfg.rng())
+            sr.verify_pair(g, cfg, 1, 2, theta, p, R_max, cfg.rng())
         if str(verify.value).startswith("theta"):
             with pytest.raises(ValueError) as joined:
                 check_join_args(theta)
@@ -294,6 +301,9 @@ class TestVerifyPair:
 
 
 class TestVerifyPairs:
+    """verify_pair and meeting_time_samples pinned bitwise, draws included,
+    to the walk-by-walk references above."""
+
     def test_verify_pair_matches_the_per_pair_loop(self, seven, random_graphs):
         g7, idx = seven
         cfg = sr.Config(c=0.6, T=11)
@@ -314,37 +324,18 @@ class TestVerifyPairs:
             # the same number of draws left both streams in the same state
             assert rng_new.random() == rng_old.random()
 
-    def test_meeting_time_samples_match_the_per_pair_sampler(self, seven):
-        g, idx = seven
-        cfg = sr.Config(c=0.6, T=11)
-        for i, j in [(idx[1], idx[2]), (idx[3], idx[3]), (idx[6], idx[1])]:
-            new = meeting_time_samples(g, cfg, i, j, 500,
-                                       np.random.default_rng(3))
-            old = per_pair_meeting_times(g, cfg, i, j, 500,
-                                         np.random.default_rng(3))
-            assert np.array_equal(new, old)
-
-    @pytest.mark.parametrize("budget", [mc.VERIFY_BUDGET, 3 * mc.VERIFY_CHUNK])
-    def test_batch_agrees_with_single_pairs(self, monkeypatch, seven, budget):
-        # every pair at least 0.05 from theta; R_max is large enough for the
-        # Hoeffding rule to stop on each, so a wrong side has probability
-        # below p = 1e-3 per pair and call
-        monkeypatch.setattr(mc, "VERIFY_BUDGET", budget)
-        g, _ = seven
-        cfg = sr.Config(c=0.6, T=11)
-        S = sr.naive_simrank(g, cfg)
-        theta = 0.2
-        pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
-                 if abs(S[i, j] - theta) >= 0.05]
-        assert len(pairs) >= 10
-        batch = mc.verify_pairs(g, cfg, pairs, theta, 1e-3, 20000,
-                                np.random.default_rng(9))
-        for k, (i, j) in enumerate(pairs):
-            single = sr.verify_pair(g, cfg, i, j, theta, 1e-3, 20000,
-                                    np.random.default_rng([9, k]))
-            truth = "similar" if S[i, j] >= theta else "dissimilar"
-            assert batch[k].decision == single.decision == truth
-
-    def test_empty_batch(self, star_exact):
-        g, cfg, _ = star_exact
-        assert mc.verify_pairs(g, cfg, [], 0.5, 0.01, 100, cfg.rng()) == []
+    @settings(max_examples=100, deadline=None)
+    @given(g=small_digraphs(), data=st.data(), R=st.integers(1, 64),
+           T=st.integers(1, 12), c=st.sampled_from([0.6, 0.8]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_meeting_time_samples_match_the_per_pair_sampler(self, g, data, R,
+                                                             T, c, seed):
+        i = data.draw(st.integers(0, g.n - 1))
+        j = data.draw(st.one_of(st.just(i), st.integers(0, g.n - 1)))
+        cfg = sr.Config(c=c, T=T)
+        rng_new = np.random.default_rng(seed)
+        rng_old = np.random.default_rng(seed)
+        new = meeting_time_samples(g, cfg, i, j, R, rng_new)
+        old = per_pair_meeting_times(g, cfg, i, j, R, rng_old)
+        assert np.array_equal(new, old)
+        assert rng_new.random() == rng_old.random()

@@ -22,9 +22,9 @@ import time
 
 import numpy as np
 
-from .diag import (ROW_BUDGET, DiagonalCorrection, EstimationConfig,
-                   estimate_diagonal, load_diagonal, residual_norm,
-                   save_diagonal, source_blocks)
+from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
+                   load_diagonal, residual_norm, rows_fit, save_diagonal,
+                   source_blocks)
 from .graph import (Config, Graph, check_vertex, check_walk_count,
                     load_edge_list)
 from .join import DEFAULT_BETA_SKIP, DEFAULT_GAMMA_ACC, check_join_args, join
@@ -35,8 +35,8 @@ from .query import (DEFAULT_OUTPUT_THRESHOLD, all_pairs, check_threshold,
 from .topk import DEFAULT_THETA_FLOOR, check_topk_args, topk_query
 
 # largest passes*n*(n+m)*T for which a command without --diag estimates the
-# diagonal exactly, passes the W passes of EstimationConfig(): 1 when the n^2
-# rows fit diag.ROW_BUDGET, else L; n^2 prices the dense n x block arrays.
+# diagonal exactly, passes the W passes of EstimationConfig(): 1 when
+# diag.rows_fit(n), else L; n^2 prices the dense n x block arrays.
 # On a 2-vCPU Xeon uniform n=1000, m=22700 (2.6e8) took 0.11 s; uniform
 # n=4073, m=2840 (9.3e8) took 1.2 s and a 4767-vertex path (1.5e9) 1.9 s
 EXACT_DEFAULT_MAX_WORK = 800_000_000
@@ -75,7 +75,7 @@ def _diagonal(args, g: Graph, cfg: Config) -> DiagonalCorrection:
                 f"but --T is {cfg.T}; it needs T >= {cfg.T}")
         return D
     est_cfg = EstimationConfig()
-    passes = 1 if g.n * g.n <= ROW_BUDGET else est_cfg.L
+    passes = 1 if rows_fit(g.n) else est_cfg.L
     work = passes * g.n * (g.n + g.m) * cfg.T
     if work > EXACT_DEFAULT_MAX_WORK:
         raise ValueError(

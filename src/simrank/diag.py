@@ -16,11 +16,11 @@ keys per step, so P^t e_k becomes the empirical frequency and the rows come
 out sparse (``walk_rows``).  The block's updates then run in vertex order
 against the values updated so far (true Gauss-Seidel), the same loop for
 both modes: W[k, k] is read for the whole block at once, and each vertex
-takes one row dot.  The first exact sweep keeps the rows of the first blocks
-that fit ROW_BUDGET entries and later sweeps read them instead of
-propagating again; when they cover every block, the residual
-max_k |S^L(D)_kk - 1| of the result is read off them too, so a graph whose
-rows all fit takes one W pass for the estimate and its residual.
+takes one row dot.  When all n^2 exact rows fit ROW_BUDGET entries
+(``rows_fit``), the first sweep keeps them, later sweeps read them instead
+of propagating again, and the residual max_k |S^L(D)_kk - 1| of the result
+is read off them too: one W pass for the estimate and its residual.
+Otherwise every sweep computes every block again.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Config, Graph, check_walk_count, walk_steps
+from .graph import Config, Graph, check_vertex, check_walk_count, walk_steps
 
 EXACT_CLAMP_SLACK = 1e-9
 MC_CLAMP_SLACK = 0.05
@@ -38,8 +38,8 @@ MC_CLAMP_SLACK = 0.05
 # max(1, BLOCK_BUDGET // n) sources, so its arrays stay near 2^15 entries
 # (n once n exceeds that) instead of the n^2 of propagating all sources at once
 BLOCK_BUDGET = 2**15
-# exact rows kept across sweeps and for the residual, at any L: 2^20 float64
-# entries (8 MB), every row of a graph with n <= 1024
+# exact rows kept across sweeps and for the residual, at any L, when all n^2
+# of them fit: 2^20 float64 entries (8 MB), a graph with n <= 1024
 ROW_BUDGET = 2**20
 # walks in flight in one MC block: a block holds max(1, WALK_BUDGET // R) sources
 WALK_BUDGET = 2**15
@@ -55,8 +55,8 @@ class DiagonalCorrection:
 
     ``residual`` is max_k |S^L(D)_kk - 1| of the values as estimate_diagonal
     returned them, bitwise equal to ``residual_norm``.  Exact mode reads it
-    off the rows it kept when they cover every block; it is None where it
-    was not computed: MC mode, rows recomputed per sweep, a loaded file.
+    off the rows it kept when ``rows_fit``; it is None where it was not
+    computed: MC mode, rows recomputed per sweep, a loaded file.
     """
 
     values: np.ndarray
@@ -172,14 +172,15 @@ def _block_rows(g: Graph, cfg: Config, est_cfg: EstimationConfig,
     return walk_rows(g, cfg, ks, est_cfg.R, np.random.default_rng(seed))
 
 
+def rows_fit(n: int) -> bool:
+    """Whether the n^2 exact rows fit ROW_BUDGET, so the sweeps keep them."""
+    return n * n <= ROW_BUDGET
+
+
 def _block_diagonal(W, ks: np.ndarray) -> np.ndarray:
     """W[j, ks[j]] for every row j of a dense or a CSR block of rows; a CSR
     row without that entry gives 0.0."""
-    if sp.issparse(W):
-        rows = np.repeat(np.arange(len(ks)), np.diff(W.indptr))
-        hit = W.indices == ks[rows]
-        return np.bincount(rows[hit], weights=W.data[hit], minlength=len(ks))
-    return W[np.arange(len(ks)), ks]
+    return np.asarray(W[np.arange(len(ks)), ks]).ravel()
 
 
 def inner_estimates(g: Graph, cfg: Config, D: DiagonalCorrection, k: int,
@@ -191,6 +192,7 @@ def inner_estimates(g: Graph, cfg: Config, D: DiagonalCorrection, k: int,
     both are read off the one-source row W[k, :] of ``weight_rows`` (exact)
     or ``walk_rows`` (mc, squared empirical frequencies of R walks).
     """
+    check_vertex(g, k)
     d = D.as_array(g.n)
     ks = np.array([k])
     W = _block_rows(g, cfg, est_cfg, ks, rng if rng is not None else cfg.seed)
@@ -202,14 +204,13 @@ def estimate_diagonal(g: Graph, cfg: Config,
                       est_cfg: EstimationConfig) -> DiagonalCorrection:
     """L Gauss-Seidel sweeps over k = 0..n-1 from the initial guess.
 
-    In exact mode, at any L, the rows of the first blocks that fit
-    ROW_BUDGET entries are kept from the first sweep, so a graph whose n^2
-    rows fit takes one W pass; the other blocks are computed again in every
-    sweep.  The extra memory is at most 8 * ROW_BUDGET bytes plus one block,
-    and D is the same bitwise as with no rows kept.  When every block was
-    kept, D.residual is max_k |W[k, :] . diag(D) - 1| from those rows,
-    bitwise equal to ``residual_norm``; otherwise it is None.  MC rows are
-    drawn afresh on every (sweep, block) stream, and D.residual is None.
+    In exact mode, at any L, when ``rows_fit(n)`` the rows of every block
+    are kept from the first sweep, so the estimate takes one W pass, and
+    D.residual is max_k |W[k, :] . diag(D) - 1| from those rows, bitwise
+    equal to ``residual_norm``.  Otherwise every sweep computes every block
+    again and D.residual is None.  The kept rows take 8 n^2 bytes, at most
+    8 * ROW_BUDGET, and D is the same bitwise as with no rows kept.  MC rows
+    are drawn afresh on every (sweep, block) stream, and D.residual is None.
     """
     D = initial_guess(g, cfg)
     d = D.values
@@ -221,21 +222,19 @@ def estimate_diagonal(g: Graph, cfg: Config,
     exact = est_cfg.mode == "exact"
     blocks = list(source_blocks(
         g.n, None if exact else max(1, WALK_BUDGET // est_cfg.R)))
-    # exact rows do not depend on D, so later sweeps and the residual can
-    # read them; a block holds at least one entry, so no room keeps nothing
-    room = ROW_BUDGET if exact else 0
+    # exact rows do not depend on D: later sweeps and the residual read them
+    keep = exact and rows_fit(g.n)
     kept = []
     for sweep in range(est_cfg.L):
         for b, ks in enumerate(blocks):
-            if b < len(kept):
+            if sweep and keep:
                 W = kept[b]
             else:
                 # mc: one stream per (sweep, block), named by its first vertex
                 W = _block_rows(g, cfg, est_cfg, ks,
                                 [cfg.seed, sweep, int(ks[0])])
-                if b == len(kept) and W.size <= room:
+                if keep:
                     kept.append(W)
-                    room -= W.size
             # each row's dot is taken when the loop reaches it, so it reads
             # the values updated so far (Gauss-Seidel)
             if sp.issparse(W):
@@ -255,7 +254,7 @@ def estimate_diagonal(g: Graph, cfg: Config,
                     clamped += 1
                 d[k] = value
     D.clamped, D.skipped = clamped, skipped
-    if exact and len(kept) == len(blocks):
+    if keep:
         D.residual = max((float(np.max(np.abs(W @ d - 1.0))) for W in kept),
                          default=0.0)
     D.params = header_params(cfg, est_cfg)

@@ -45,19 +45,19 @@ class Graph:
     """Immutable directed graph indexed by in-neighborhood.
 
     An edge (u, v) means u -> v, so I(v) gains u.  edges is an array or a
-    sequence of (u, v) pairs over 0..n-1; duplicates are merged and a
-    self-loop is refused.  The arrays in_degree, in_ptr and in_adj (I(v) is
-    in_adj[in_ptr[v]:in_ptr[v + 1]], ascending) are built here by one sort,
-    P and PT on first use, and the list forms edges, in_index and out_index
-    (read from the rows of P) once, on first access.
+    sequence of (u, v) pairs over 0..n-1; duplicates are merged and counted
+    in dropped_duplicates, and a self-loop is refused.  The arrays
+    in_degree, in_ptr and in_adj (I(v) is in_adj[in_ptr[v]:in_ptr[v + 1]],
+    ascending) are built here by one sort, P and PT on first use, and the
+    list forms edges, in_index and out_index (read from the rows of P)
+    once, on first access.
     """
 
     def __init__(self, n: int, edges, original_ids: list[int] | None = None,
-                 dropped_self_loops: int = 0, dropped_duplicates: int = 0):
+                 dropped_self_loops: int = 0):
         self.n = n
         self.original_ids = original_ids if original_ids is not None else list(range(n))
         self.dropped_self_loops = dropped_self_loops
-        self.dropped_duplicates = dropped_duplicates
 
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if pairs.size and not (pairs.min() >= 0 and pairs.max() < n):
@@ -67,6 +67,7 @@ class Graph:
         distinct = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
         v, self.in_adj = np.divmod(keys[distinct], n)
+        self.dropped_duplicates = len(keys) - len(v)
         if np.any(self.in_adj == v):
             raise ValueError("self-loop survived ingestion")
 
@@ -206,10 +207,8 @@ def load_edge_list(stream) -> Graph:
     order = np.argsort(first)  # ids by first appearance
     dense = np.empty_like(order)
     dense[order] = np.arange(len(order))
-    g = Graph(len(ids), dense[inverse].reshape(-1, 2), ids[order].tolist(),
-              dropped_self_loops=int(loops.sum()))
-    g.dropped_duplicates = len(pairs) - g.m
-    return g
+    return Graph(len(ids), dense[inverse].reshape(-1, 2), ids[order].tolist(),
+                 dropped_self_loops=int(loops.sum()))
 
 
 def _lines_text(stream) -> str:
@@ -388,6 +387,7 @@ def walk_trajectory(g: Graph, source: int, steps: int,
 
 def bfs_distances(g: Graph, source: int, max_d: int | None = None) -> dict[int, int]:
     """Hop distances over the undirected edge set, truncated at max_d."""
+    check_vertex(g, source)
     dist = {source: 0}
     frontier = [source]
     d = 0

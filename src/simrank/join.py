@@ -325,9 +325,9 @@ def look_ahead(g: Graph, cfg: Config, filt: FilterResult, band,
     LOOK_AHEAD_ENTRIES entries per pair left.  An empty band returns before
     anything is built.
 
-    Ties: a pair scoring exactly theta never settles out, as its up stays at
-    or above theta; it settles in only if lo reaches theta, and is left
-    otherwise.
+    Ties: up to rounding, a pair scoring exactly theta never settles out,
+    as its up stays at or above theta; it settles in only if lo reaches
+    theta, and is left otherwise.
     """
     band = np.asarray(band, dtype=np.int64).reshape(-1, 2)
     if not len(band):
@@ -439,8 +439,8 @@ def join(g: Graph, cfg: Config, D: DiagonalCorrection, theta: float,
     as it does for J_H.  The look-ahead's verdict is final: the pairs it
     leaves are kept out of the result and counted in stats["left"], so the
     result is exactly as sound as J_L.  A pair scoring exactly theta is in
-    it only if the look-ahead's lower bound reaches theta.  Deterministic
-    under a fixed seed.
+    it only if the look-ahead's lower bound reaches theta, and rounding can
+    settle it out.  Deterministic under a fixed seed.
     """
     check_join_args(theta, gamma_acc, beta_skip)
     filt = gauss_southwell_filter(g, cfg, D, theta, gamma_acc, beta_skip, rng)

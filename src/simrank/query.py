@@ -23,17 +23,11 @@ def check_threshold(threshold: float) -> None:
 
 def single_pair(g: Graph, cfg: Config, D: DiagonalCorrection,
                 i: int, j: int) -> float:
-    """s^(T)(i,j) = sum_{t<T} c^t (P^t e_i)^T D (P^t e_j), over the two
-    ``propagate`` streams of i and j."""
+    """s^(T)(i,j) = sum_{t<T} c^t (P^t e_i)^T D (P^t e_j): entry j of the
+    column ``single_source(g, cfg, D, i)``."""
     check_vertex(g, i)
     check_vertex(g, j)
-    dvals = D.as_array(g.n)
-    score = 0.0
-    weight = 1.0
-    for x, y in zip(propagate(g, cfg, i), propagate(g, cfg, j)):
-        score += weight * float(np.dot(x * dvals, y))
-        weight *= cfg.c
-    return score
+    return float(single_source(g, cfg, D, i)[j])
 
 
 def fold_series(g: Graph, cfg: Config, stack: list[np.ndarray]) -> np.ndarray:

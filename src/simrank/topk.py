@@ -49,6 +49,7 @@ class BoundsIndex:
 def build_gamma(g: Graph, cfg: Config, D: DiagonalCorrection,
                 u: int) -> np.ndarray:
     """Row gamma(u, t) = ||sqrt(D) P^t e_u|| for t = 0..T-1."""
+    check_vertex(g, u)
     dvals = D.as_array(g.n)
     return np.array([np.sqrt(np.sum(dvals * x * x))
                      for x in propagate(g, cfg, u)])
@@ -62,6 +63,7 @@ def build_alpha_beta(g: Graph, cfg: Config, D: DiagonalCorrection, u: int,
     truncated score of any v at undirected distance d because step-t walk
     positions stay within distance t of their start.
     """
+    check_vertex(g, u)
     dvals = D.as_array(g.n)
     dist_map = bfs_distances(g, u, d_max)
     dist_arr = np.full(g.n, -1, dtype=np.int64)

@@ -265,7 +265,7 @@ class TestQuery:
         monkeypatch.setattr(cli, "EXACT_DEFAULT_MAX_WORK", work)
         assert run(capsys, argv)[0] == 0
         # rows that do not fit are computed again in each of the L sweeps
-        monkeypatch.setattr(cli, "ROW_BUDGET", 4 * 4 - 1)
+        monkeypatch.setattr(diag, "ROW_BUDGET", 4 * 4 - 1)
         code, out, err = run(capsys, argv)
         assert code == 1 and str(3 * work) in err
 

@@ -227,18 +227,17 @@ class TestBlockKernel:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(gb=blocked_digraphs(), c=st.floats(0.2, 0.9),
-           T=st.integers(1, 15), L=st.integers(1, 4), part=st.floats(0, 1))
+           T=st.integers(1, 15), L=st.integers(1, 4))
     def test_kept_rows_leave_estimate_bit_identical(self, monkeypatch, gb, c,
-                                                    T, L, part):
-        """ROW_BUDGET at no block, one block, part of the blocks and all
-        of them gives the same D bitwise."""
+                                                    T, L):
+        """ROW_BUDGET at 0, at one entry short of the n^2 rows and at n^2
+        (every row kept) gives the same D bitwise."""
         g, size = gb
         monkeypatch.setattr(diag, "BLOCK_BUDGET", size * g.n)
-        blocks = len(list(diag.source_blocks(g.n)))
         cfg = sr.Config(c=c, T=T)
         runs = []
-        for kept in (0, 1, int(part * blocks), blocks):
-            monkeypatch.setattr(diag, "ROW_BUDGET", kept * size * g.n)
+        for budget in (0, g.n * g.n - 1, g.n * g.n):
+            monkeypatch.setattr(diag, "ROW_BUDGET", budget)
             runs.append(sr.estimate_diagonal(g, cfg, EstimationConfig(L=L)))
         for D in runs[1:]:
             assert np.array_equal(D.values, runs[0].values)
@@ -269,16 +268,13 @@ class TestBlockKernel:
            slack=st.integers(-1, 40))
     def test_rows_computed_once_while_they_fit(self, monkeypatch, gb, L, kept,
                                                slack):
-        """The leading blocks whose rows add up to at most ROW_BUDGET
-        entries are computed once and every other block once per sweep: at
-        a budget of n^2 entries that is one call per block whatever L is,
-        at budget 0 it is L calls per block, and half a block keeps none."""
+        """Every block's rows are computed once when all n^2 entries fit
+        ROW_BUDGET, whatever L is, and once per sweep otherwise: one entry
+        short of n^2, half a block and budget 0 keep none."""
         g, size = gb
-        sizes = [len(ks) * g.n for ks in diag.source_blocks(g.n, size)]
-        blocks = len(sizes)
-        for budget in (0, g.n * g.n, sizes[0] // 2,
+        blocks = len(list(diag.source_blocks(g.n, size)))
+        for budget in (0, g.n * g.n, g.n * g.n - 1, size * g.n // 2,
                        max(0, kept * size * g.n + slack)):
-            fit = int(np.searchsorted(np.cumsum(sizes), budget, side="right"))
             calls = []
             with monkeypatch.context() as mp:
                 mp.setattr(diag, "BLOCK_BUDGET", size * g.n)
@@ -288,7 +284,8 @@ class TestBlockKernel:
                            lambda *args: calls.append(args[2]) or real(*args))
                 sr.estimate_diagonal(g, sr.Config(c=0.6, T=5),
                                      EstimationConfig(L=L))
-            assert len(calls) == blocks + (L - 1) * (blocks - fit)
+            assert len(calls) == (blocks if budget >= g.n * g.n
+                                  else L * blocks)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -35,6 +35,10 @@ class TestParsing:
         # self-loop-only vertex never appears
         assert g.n == 2
 
+    def test_graph_counts_the_duplicates_it_merges(self):
+        g = sr.Graph(3, [(0, 1), (0, 1), (1, 2)])
+        assert (g.m, g.dropped_duplicates) == (2, 1)
+
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(sr.GraphParseError, match="line 2"):
             sr.load_edge_list("0 1\n0 1 2\n")

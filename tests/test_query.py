@@ -166,12 +166,15 @@ class TestSourceColumns:
     @settings(max_examples=60, deadline=None)
     @given(case=query_cases())
     def test_single_source_equals_dense(self, case):
+        """Every column, and every pair score read off it by single_pair."""
         g, cfg, D, _ = case
         S = sr.dense_truncated(g, cfg, D)
         for k in range(g.n):
             col = sr.single_source(g, cfg, D, k)
             assert col.shape == (g.n,)
             assert np.max(np.abs(col - S[:, k]), initial=0.0) <= 1e-12
+            for j in range(g.n):
+                assert abs(sr.single_pair(g, cfg, D, k, j) - S[k, j]) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(case=query_cases())

@@ -49,7 +49,8 @@ class TestSinglePair:
 # the 3-cycle 0 -> 1 -> 2 -> 0 with the chord 0 -> 2
 CYCLE_EDGES = "0 1\n1 2\n2 0\n0 2\n"
 
-# every query entry point, called with vertex v in one vertex slot
+# every query entry point, and every other function that takes a vertex,
+# called with vertex v in one vertex slot
 VERTEX_QUERIES = {
     "single_pair i": lambda g, cfg, D, v, rng: sr.single_pair(g, cfg, D, v, 0),
     "single_pair j": lambda g, cfg, D, v, rng: sr.single_pair(g, cfg, D, 0, v),
@@ -66,11 +67,17 @@ VERTEX_QUERIES = {
         g, cfg, D, None, v, 2),
     "topk_query mc": lambda g, cfg, D, v, rng: sr.topk_query(
         g, cfg, D, None, v, 2, adaptive=(10, 10), rng=rng),
+    "bfs_distances": lambda g, cfg, D, v, rng: sr.bfs_distances(g, v, 2),
+    "build_gamma": lambda g, cfg, D, v, rng: sr.build_gamma(g, cfg, D, v),
+    "build_alpha_beta": lambda g, cfg, D, v, rng: sr.build_alpha_beta(
+        g, cfg, D, v, 2),
+    "inner_estimates": lambda g, cfg, D, v, rng: sr.diag.inner_estimates(
+        g, cfg, D, v, sr.EstimationConfig(R=10, mode="mc"), rng),
 }
 
 
 @pytest.mark.parametrize("query", VERTEX_QUERIES)
-@pytest.mark.parametrize("v", [-1, 3])
+@pytest.mark.parametrize("v", [-1, -2, 3])
 def test_out_of_range_vertex_is_refused_before_any_walk(query, v):
     # a negative id would otherwise index from the end: -1 read vertex 2
     g = sr.load_edge_list(CYCLE_EDGES)

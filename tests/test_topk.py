@@ -169,27 +169,6 @@ class TestAlphaBeta:
                         assert S[u, v] <= ab.beta[d] + 1e-9
 
 
-# the bound builders and inner_estimates, called with vertex v
-VERTEX_READERS = {
-    "bfs_distances": lambda g, cfg, D, v: sr.bfs_distances(g, v, 2),
-    "build_gamma": lambda g, cfg, D, v: sr.build_gamma(g, cfg, D, v),
-    "build_alpha_beta": lambda g, cfg, D, v: sr.build_alpha_beta(
-        g, cfg, D, v, 2),
-    "inner_estimates": lambda g, cfg, D, v: diag.inner_estimates(
-        g, cfg, D, v, diag.EstimationConfig()),
-}
-
-
-@pytest.mark.parametrize("reader", VERTEX_READERS)
-@pytest.mark.parametrize("v", [-1, -2, 4])
-def test_out_of_range_vertex_is_refused(star_exact, reader, v):
-    # a negative id would otherwise index from the end: -1 read vertex 3
-    g, cfg, D = star_exact
-    with pytest.raises(ValueError, match=f"vertex {v} out of range for "
-                                         f"graph with {g.n} vertices"):
-        VERTEX_READERS[reader](g, cfg, D, v)
-
-
 class TestL2Bound:
     def test_zero_rows(self):
         assert sr.l2_bound(np.zeros(5), np.zeros(5), 0.6) == 0.0

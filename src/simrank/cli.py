@@ -23,8 +23,8 @@ import time
 import numpy as np
 
 from .diag import (DiagonalCorrection, EstimationConfig, estimate_diagonal,
-                   load_diagonal, residual_norm, rows_fit, save_diagonal,
-                   source_blocks)
+                   graph_hash, load_diagonal, residual_norm, rows_fit,
+                   save_diagonal, source_blocks)
 from .graph import (Config, Graph, check_vertex, check_walk_count,
                     load_edge_list)
 from .join import DEFAULT_BETA_SKIP, DEFAULT_GAMMA_ACC, check_join_args, join
@@ -73,6 +73,12 @@ def _diagonal(args, g: Graph, cfg: Config) -> DiagonalCorrection:
             raise ValueError(
                 f"diagonal file {args.diag} was estimated at T={T}, "
                 f"but --T is {cfg.T}; it needs T >= {cfg.T}")
+        # a file written before the graph field existed has none to check
+        graph = D.params.get("graph")
+        if graph is not None and graph != graph_hash(g):
+            raise ValueError(
+                f"diagonal file {args.diag} was estimated on graph {graph}, "
+                f"but --graph {args.graph} is graph {graph_hash(g)}")
         return D
     est_cfg = EstimationConfig()
     passes = 1 if rows_fit(g.n) else est_cfg.L

@@ -25,6 +25,7 @@ Otherwise every sweep computes every block again.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ WALK_BUDGET = 2**15
 # the diagonal file's header fields after "n", in file order, with the type
 # load_diagonal reads each as; the value None is written and read as "None"
 HEADER_FIELDS = {"c": float, "T": int, "L": int, "R": int, "mode": str,
-                 "seed": int}
+                 "seed": int, "graph": str}
 
 
 @dataclass
@@ -105,7 +106,7 @@ def initial_guess(g: Graph, cfg: Config) -> DiagonalCorrection:
     values = np.ones(g.n)
     nonzero = g.in_degree > 0
     values[nonzero] -= cfg.c / g.in_degree[nonzero]
-    return DiagonalCorrection(values, params=header_params(cfg, mode="initial"))
+    return DiagonalCorrection(values, params=header_params(g, cfg, mode="initial"))
 
 
 def source_blocks(n: int, size: int | None = None):
@@ -257,7 +258,7 @@ def estimate_diagonal(g: Graph, cfg: Config,
     if keep:
         D.residual = max((float(np.max(np.abs(W @ d - 1.0))) for W in kept),
                          default=0.0)
-    D.params = header_params(cfg, est_cfg)
+    D.params = header_params(g, cfg, est_cfg)
     return D
 
 
@@ -269,10 +270,21 @@ def residual_norm(g: Graph, cfg: Config, D: DiagonalCorrection) -> float:
                 for ks in source_blocks(g.n)), default=0.0)
 
 
-def header_params(cfg: Config, est_cfg: EstimationConfig | None = None,
-                  **fixed) -> dict:
+def graph_hash(g: Graph) -> str:
+    """16 hex digits of blake2b over n, in_ptr, in_adj and original_ids: the
+    graph, and the numbering of its vertices, that a diagonal belongs to."""
+    h = hashlib.blake2b(np.int64(g.n).tobytes(), digest_size=8)
+    for part in (g.in_ptr, g.in_adj,
+                 np.asarray(g.original_ids, dtype=np.int64)):
+        h.update(part)
+    return h.hexdigest()
+
+
+def header_params(g: Graph, cfg: Config,
+                  est_cfg: EstimationConfig | None = None, **fixed) -> dict:
     """D.params for every HEADER_FIELDS key, taken from fixed, else from cfg,
-    else from est_cfg, else None."""
+    else from est_cfg, else None; graph is graph_hash(g) unless fixed."""
+    fixed = {"graph": graph_hash(g), **fixed}
     return {key: fixed[key] if key in fixed
             else getattr(cfg, key, getattr(est_cfg, key, None))
             for key in HEADER_FIELDS}

@@ -55,7 +55,7 @@ def exact_diagonal(g: Graph, cfg: Config, cap: int = DEFAULT_CAP) -> DiagonalCor
     D = S - cfg.c * (P.T @ S @ P)
     return DiagonalCorrection(
         values=np.diag(D).copy(),
-        params=header_params(cfg, T=None, mode="oracle"))
+        params=header_params(g, cfg, T=None, mode="oracle"))
 
 
 def brute_force_join(g: Graph, cfg: Config, theta: float,

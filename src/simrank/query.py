@@ -7,12 +7,21 @@ by at most c^T / (1 - c).
 
 from __future__ import annotations
 
+import os
+import queue
+from collections import deque
+from contextlib import closing
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .diag import DiagonalCorrection, propagate, source_blocks
 from .graph import Config, Graph, check_vertex
 
 DEFAULT_OUTPUT_THRESHOLD = 1e-4
+# rows per tsv_rows call of the all-pairs writer: two writers running at once
+# hold their row-length temporaries together, and 2^13 rows were slower
+WRITER_ROWS = 2**14
 
 
 def check_threshold(threshold: float) -> None:
@@ -153,33 +162,100 @@ def all_pairs(g: Graph, cfg: Config, D: DiagonalCorrection, sink,
 
     Sources go in the blocks of ``diag.source_blocks``: the forward stack
     D P^t E_ks for t < T, folded by ``fold_series``; ``single_source`` is
-    the kernel's one-column case.  The stack is one T x n x (block size)
-    array made once and refilled by every block, so the kernel's extra
-    memory stays near T * BLOCK_BUDGET doubles for any n, and the export
-    does not free and allocate T block-sized arrays per block (the
-    allocator can hand freed memory back to the kernel, and every page of
-    it then faults in again).
-    Each block's rows come from one ``np.nonzero`` over the transposed
-    view of the block (no copy) and are written by one ``tsv_rows`` call,
-    so the writer's extra memory is O(rows of one block).  threshold 0
-    emits every entry; a non-finite threshold raises ValueError.  Returns
-    the row count.
+    the kernel's one-column case.  Each block's rows come from one
+    ``np.nonzero`` over the transposed view of the block (no copy) and are
+    formatted by ``tsv_rows`` WRITER_ROWS rows at a time.
+
+    The blocks run on ``_workers`` threads.  There are as many T x n x
+    (block size) stacks, made once by the calling thread and refilled by
+    every block (the allocator could hand freed memory back to the kernel,
+    and every page of it would then fault in again).  A block holds its
+    stack until its rows are formatted: at T = 1 the folded block is the
+    stack's own layer.  At most workers + 1 blocks are in flight, and the
+    calling thread writes their rows to sink in block order, so the bytes
+    do not depend on the thread count.  The extra memory is workers * T *
+    BLOCK_BUDGET doubles for the stacks, plus one WRITER_ROWS-row
+    ``tsv_rows`` call per worker, for any n.  Below 4 blocks, or on one
+    CPU, there is one worker: the blocks run on the calling thread and no
+    thread starts.
+
+    threshold 0 emits every entry; a non-finite threshold raises
+    ValueError.  An error raised on any block is raised here, after every
+    thread has stopped.  Returns the row count.
     """
     check_threshold(threshold)
     dvals = D.as_array(g.n)[:, None]
-    stack = None
+    blocks = list(source_blocks(g.n))
+    width = len(blocks[0]) if blocks else 0  # the first block is the widest
+    g.P, g.PT  # noqa: B018 - built here: the threads only read them
+    workers = _workers(len(blocks))
+    # made here, not in the threads: memory freed in a thread's allocator
+    # arena stays there, out of the calling thread's reach
+    stacks = queue.SimpleQueue()
+    for _ in range(workers):
+        stacks.put(np.empty((cfg.T, g.n, width)))
+
+    def export(ks):
+        """The texts of block ks's rows and their count, on a stack taken
+        from stacks for as long as the rows are formatted."""
+        stack = stacks.get()
+        try:
+            layers = list(stack[:, :, :len(ks)])
+            for X, layer in zip(propagate(g, cfg, ks), layers):
+                np.multiply(dvals, X, out=layer)
+            C = fold_series(g, cfg, layers).T
+            r, js = np.nonzero(C >= threshold)
+            texts = []
+            for a in range(0, len(js), WRITER_ROWS):
+                rs, cs = r[a:a + WRITER_ROWS], js[a:a + WRITER_ROWS]
+                texts.append(tsv_rows((ks[rs], cs), C[rs, cs]))
+            return texts, len(js)
+        finally:
+            stacks.put(stack)
+
     rows = 0
-    for ks in source_blocks(g.n):
-        if stack is None:  # the first block is the widest
-            stack = np.empty((cfg.T, g.n, len(ks)))
-        layers = list(stack[:, :, :len(ks)])
-        for X, layer in zip(propagate(g, cfg, ks), layers):
-            np.multiply(dvals, X, out=layer)
-        C = fold_series(g, cfg, layers).T
-        r, js = np.nonzero(C >= threshold)
-        sink.write(tsv_rows((ks[r], js), C[r, js]))
-        rows += len(js)
+    with closing(_in_order(export, blocks, workers)) as results:
+        for texts, count in results:
+            for text in texts:
+                sink.write(text)
+            rows += count
     return rows
+
+
+def _workers(blocks: int) -> int:
+    """Workers for an export of that many blocks: one per CPU, at most one
+    per two blocks (below 4 blocks a second thread costs more than it
+    saves), at least one."""
+    return max(1, min(_cpus(), blocks // 2))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _in_order(fn, items, workers: int):
+    """fn(item) for every item, yielded in item order.  With workers > 1 the
+    calls run on that many threads, with at most workers + 1 items submitted
+    and not yet yielded; the threads have stopped once the generator is done
+    or closed.  With one worker they run on the calling thread."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def dense_truncated(g: Graph, cfg: Config, D: DiagonalCorrection) -> np.ndarray:

@@ -276,8 +276,9 @@ def test_criterion_11_verification_error_rate(seven):
 
 
 def test_criterion_12_join_end_to_end():
-    """Filter plus verification at theta = 0.2 reaches pooled precision
-    >= 0.95 and recall >= 0.90 against the brute-force join."""
+    """The join's result at theta = 0.2, the pairs its filter certifies
+    (it samples none), reaches pooled precision >= 0.95 and recall >= 0.90
+    against the brute-force join."""
     with budget(180.0):
         # c = 0.7 here: at c = 0.6 a common motif (a single-in-neighbor vertex
         # against a degree-3 vertex sharing it) scores exactly c/3 = theta, and

@@ -235,6 +235,38 @@ class TestQuery:
         assert code == 1 and out == ""
         assert star_diag in err and "c=0.8" in err and "0.6" in err
 
+    def test_diag_estimated_on_other_graph_is_rejected(self, capsys, tmp_path):
+        """Two 3-vertex graphs: a diagonal of the cycle would score the pair
+        (1, 2) of the other graph 0.120456, against 0.300000 from its own."""
+        cycle, other = tmp_path / "cycle.txt", tmp_path / "other.txt"
+        cycle.write_text("0 1\n1 2\n2 0\n")
+        other.write_text("0 1\n0 2\n1 2\n")
+        path = str(tmp_path / "cycle.diag")
+        assert run(capsys, ["estimate-diag", "--graph", str(cycle),
+                            "--out", path])[0] == 0
+        code, out, err = run(capsys, ["query", "--graph", str(other),
+                                      "--diag", path, "pair", "1", "2"])
+        assert code == 1 and out == ""
+        ours = diag.graph_hash(sr.load_edge_list(other.read_text()))
+        theirs = diag.graph_hash(sr.load_edge_list(cycle.read_text()))
+        assert path in err and theirs in err and ours in err
+        assert run(capsys, ["query", "--graph", str(cycle), "--diag", path,
+                            "pair", "1", "2"])[0] == 0
+
+    def test_diag_without_graph_field_is_read(self, capsys, tmp_path,
+                                              star_file, star_diag):
+        """A file written before the graph field existed is not checked."""
+        lines = (tmp_path / "star.diag").read_text().split("\n")
+        assert lines[0].endswith(
+            " graph=" + diag.graph_hash(sr.load_edge_list(STAR_EDGES)))
+        old = tmp_path / "old.diag"
+        old.write_text("\n".join([lines[0].rsplit(" ", 1)[0], *lines[1:]]))
+        argv = ["query", "--graph", star_file, "--c", "0.8", "--T", "80",
+                "pair", "1", "2"]
+        want = run(capsys, [*argv, "--diag", star_diag])
+        assert want[0] == 0
+        assert run(capsys, [*argv, "--diag", str(old)]) == want
+
     @pytest.mark.parametrize("query_T", ["10", "20", "40"])
     def test_diag_header_T_must_cover_query_T(self, capsys, star_file,
                                               tmp_path, query_T):

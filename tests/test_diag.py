@@ -425,6 +425,23 @@ class TestPersistence:
         sr.save_diagonal(path, D)
         header = path.read_text().splitlines()[0]
         assert header.startswith("simrank-diag v1 n=4 c=0.8 T=40 L=5")
+        assert header.endswith(f" seed=0 graph={diag.graph_hash(star)}")
+
+    def test_graph_field_names_the_numbered_graph(self, star, cfg08):
+        """Every estimate records graph_hash; it tells two graphs apart, and
+        one cycle read from its lines in two orders, whose vertices get the
+        same structure under different original ids."""
+        for D in (sr.initial_guess(star, cfg08),
+                  sr.estimate_diagonal(star, cfg08, EstimationConfig(L=1)),
+                  sr.exact_diagonal(star, cfg08)):
+            assert D.params["graph"] == diag.graph_hash(star)
+        cycle = sr.load_edge_list("0 1\n1 2\n2 0\n")
+        turned = sr.load_edge_list("1 2\n0 1\n2 0\n")
+        assert np.array_equal(turned.in_adj, cycle.in_adj)
+        hashes = {diag.graph_hash(g) for g in (
+            cycle, turned, sr.load_edge_list("0 1\n0 2\n1 2\n"))}
+        assert len(hashes) == 3
+        assert diag.graph_hash(sr.load_edge_list("0 1\n1 2\n2 0\n")) in hashes
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus"
@@ -442,12 +459,13 @@ class TestPersistence:
     def test_round_trip_random_values(self, tmp_path_factory, values, c, T):
         D = DiagonalCorrection(np.array(values, dtype=float),
                                params={"c": c, "T": T, "L": 3, "R": None,
-                                       "seed": 0, "mode": "mc"})
+                                       "seed": 0, "mode": "mc",
+                                       "graph": "0123456789abcdef"})
         path = tmp_path_factory.mktemp("diag") / "d.diag"
         sr.save_diagonal(path, D)
         # the bytes of the value-by-value writer
         header = (f"simrank-diag v1 n={len(values)} c={c} T={T} L=3 R=None "
-                  f"mode=mc seed=0\n")
+                  f"mode=mc seed=0 graph=0123456789abcdef\n")
         assert path.read_text() == header + "".join(f"{v:.17g}\n"
                                                     for v in values)
         loaded = sr.load_diagonal(path)

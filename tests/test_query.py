@@ -1,4 +1,7 @@
 import io
+import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -155,6 +158,15 @@ def tiny_case(n):
         rng.uniform(0.4, 1.0, n)), rng
 
 
+def pool_case():
+    """n = 30 at T = 1: at block size 1 its 30 blocks run on the thread
+    pool, and each folded block is its stack's own layer."""
+    rng = np.random.default_rng(30)
+    g = make_graph(rng, 30, 60)
+    return g, sr.Config(c=0.6, T=1), sr.DiagonalCorrection(
+        rng.uniform(0.4, 1.0, 30)), rng
+
+
 @st.composite
 def query_cases(draw):
     """A random digraph with n <= 30, c, T and a diagonal in [1-c, 1]."""
@@ -187,8 +199,10 @@ class TestSourceColumns:
     @given(case=query_cases())
     @example(case=tiny_case(1))
     @example(case=tiny_case(2))
+    @example(case=pool_case())
     def test_all_pairs_bytes_equal_per_column_loop(self, case):
-        """The same bytes for every block size, n = 1 and n = 2 included."""
+        """The same bytes for every block size, n = 1 and n = 2 included,
+        on two threads wherever there are 4 blocks or more."""
         g, cfg, D, _ = case
         for threshold in (0.0, 1e-4, 0.3):
             want = io.StringIO()
@@ -197,17 +211,34 @@ class TestSourceColumns:
                 got = io.StringIO()
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(sr.diag, "BLOCK_BUDGET", size * g.n)
+                    mp.setattr(sr.query, "_cpus", lambda: 2)
                     assert sr.all_pairs(g, cfg, D, got, threshold) == want_rows
                 assert got.getvalue() == want.getvalue()
 
-    def test_all_pairs_refills_one_stack(self, monkeypatch):
-        """Every block folds layers of the one stack made for the first
-        block, the last (narrower) block included."""
-        rng = np.random.default_rng(3)
-        g = make_graph(rng, 10, 30)
-        cfg = sr.Config(c=0.6, T=4)
-        D = sr.DiagonalCorrection(rng.uniform(0.4, 1.0, 10))
-        monkeypatch.setattr(sr.diag, "BLOCK_BUDGET", 3 * 10)
+
+class TestAllPairsPool:
+    @staticmethod
+    def case(n, T, seed=3):
+        """A random graph on n vertices with 3n edges, c = 0.6, T and a
+        diagonal in [0.4, 1]."""
+        rng = np.random.default_rng(seed)
+        g = make_graph(rng, n, 3 * n)
+        return (g, sr.Config(c=0.6, T=T),
+                sr.DiagonalCorrection(rng.uniform(0.4, 1.0, n)))
+
+    @staticmethod
+    def export(monkeypatch, g, cfg, D, size, cpus, threshold=1e-4):
+        monkeypatch.setattr(sr.diag, "BLOCK_BUDGET", size * g.n)
+        monkeypatch.setattr(sr.query, "_cpus", lambda: cpus)
+        sink = io.StringIO()
+        sr.all_pairs(g, cfg, D, sink, threshold)
+        return sink.getvalue()
+
+    def test_each_worker_refills_its_own_stack(self, monkeypatch):
+        """Every block folds the layers of one stack, of at most workers
+        stacks, each made once; the block widths are those of the serial
+        export."""
+        g, cfg, D = self.case(10, 4)
         seen = []
         fold_series = sr.query.fold_series
 
@@ -215,11 +246,66 @@ class TestSourceColumns:
             seen.append(list(stack))  # kept alive: a fresh array can't reuse it
             return fold_series(g, cfg, stack)
         monkeypatch.setattr(sr.query, "fold_series", recording)
-        sr.all_pairs(g, cfg, D, io.StringIO())
+        self.export(monkeypatch, g, cfg, D, size=3, cpus=2)
         assert [len(layers) for layers in seen] == [4] * 4
-        assert [layers[0].shape[1] for layers in seen] == [3, 3, 3, 1]
-        assert all(np.shares_memory(layer, seen[0][t])
-                   for layers in seen for t, layer in enumerate(layers))
+        assert sorted(layers[0].shape[1] for layers in seen) == [1, 3, 3, 3]
+        stacks = {id(layer.base): layer.base for layers in seen for layer in layers}
+        assert len(stacks) <= 2  # workers = min(2 CPUs, 4 blocks // 2)
+        assert all(stack.shape == (4, 10, 3) for stack in stacks.values())
+        assert all(len({id(layer.base) for layer in layers}) == 1
+                   and all(np.shares_memory(layer, layer.base[t])
+                           for t, layer in enumerate(layers))
+                   for layers in seen)
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_t1_exports_repeat_the_serial_bytes(self, monkeypatch, cpus):
+        """At T = 1 a folded block is its stack's own layer: a stack handed
+        to the next block before the rows are formatted shows as wrong rows
+        within a few exports of 16 blocks, also with more threads than
+        cores and threads switched often."""
+        g, cfg, D = self.case(300, 1)
+        want = self.export(monkeypatch, g, cfg, D, size=19, cpus=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                assert self.export(monkeypatch, g, cfg, D, size=19,
+                                   cpus=cpus) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_error_on_a_block_stops_every_thread(self, monkeypatch):
+        """An error on one of 8 blocks is raised once every thread of the
+        pool has stopped."""
+        g, cfg, D = self.case(40, 3)
+        calls = itertools.count()
+        tsv_rows = sr.query.tsv_rows
+
+        def failing(ids, scores):
+            if next(calls) == 2:
+                raise RuntimeError("third block")
+            return tsv_rows(ids, scores)
+        monkeypatch.setattr(sr.query, "tsv_rows", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third block"):
+            self.export(monkeypatch, g, cfg, D, size=5, cpus=2)
+        assert threading.active_count() == before
+
+    def test_threads_start_from_4_blocks(self, monkeypatch):
+        """3 blocks run on the calling thread whatever the CPU count; 4
+        blocks take two threads."""
+        g, cfg, D = self.case(12, 3)
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread)
+            start(thread)
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        serial = self.export(monkeypatch, g, cfg, D, size=4, cpus=8)
+        assert started == []
+        assert self.export(monkeypatch, g, cfg, D, size=3, cpus=8) == serial
+        assert len(started) == 2
 
 
 def percent_rows(ids, scores):
